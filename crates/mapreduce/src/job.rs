@@ -1,5 +1,10 @@
 //! The job driver: map phase → shuffle → reduce phase, with Hadoop-style
 //! fault tolerance (bounded retries, backoff, speculative execution).
+//!
+//! [`run_job`] is the one entry point. It runs the phases in order — the
+//! map phase, node failure domains, the shuffle, the reduce phase — and a
+//! tally collects what each phase charged, so the job's [`JobMetrics`]
+//! are built in one place whichever way the job ends.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -8,21 +13,21 @@ use std::time::{Duration, Instant};
 use skymr_common::{decode_pairs, encode_pairs, Counters};
 
 use crate::cluster::{makespan, ClusterConfig, JobMetrics, Placement};
-use crate::combiner::{Combiner, NoCombiner};
 use crate::fault::{
     run_attempts, BlacklistPolicy, CorruptFetch, FailureCause, FaultPlan, FaultTolerance, Inject,
     JobError, RetryPolicy, SpeculationPolicy, TaskExecution, TaskFault, TaskKind,
 };
 use crate::partitioner::Partitioner;
 use crate::pool::run_indexed;
-use crate::splits::{SliceSplits, SplitSource};
+use crate::splits::SplitSource;
 use crate::storage::{
     merge::{cascade_stats, external_merge, KWayMerge, MergeStats, RunSource},
     segment::{flip_bit, verify_frames, write_segment, Segment},
     SpillSession,
 };
 use crate::task::{
-    Emitter, MapFactory, MapTask, OutputCollector, ReduceFactory, ReduceTask, TaskContext,
+    Emitter, JobKey, JobValue, MapFactory, MapTask, OutputCollector, ReduceFactory, ReduceTask,
+    TaskContext,
 };
 use crate::trace::{CorruptEvent, FailKind, JobRecord, NodeLossEvent, TaskModel};
 use skymr_telemetry::{Collector, MetricsRegistry};
@@ -158,12 +163,22 @@ struct MapResult<K, V> {
 /// A reducer's input group, handed off to its reduce task's attempts.
 type GroupSlot<K, V> = parking_lot::Mutex<Option<BTreeMap<K, Vec<V>>>>;
 
-/// One combined, partitioned batch of map output: per-reducer buckets,
-/// their wire-byte sizes, and the post-combiner record count.
+/// One partitioned batch of map output: per-reducer buckets, their
+/// wire-byte sizes, and the record count.
 type RoutedBatch<K, V> = (Vec<Vec<(K, V)>>, Vec<u64>, u64);
+
+/// One task's execution record and the fault plan it ran under.
+type TaskRun<T> = (TaskExecution<T>, TaskFault);
+
+/// A committed phase: every task's execution record and winning value.
+type Committed<T> = (Vec<TaskRun<T>>, Vec<T>);
+
+/// The task (by index) that exhausted its retry budget, aborting the job.
+type Failed<T> = Box<(usize, TaskExecution<T>)>;
 
 /// Per-phase fault-tolerance accounting, folded from each task's
 /// [`TaskExecution`].
+#[derive(Default)]
 struct PhaseStats {
     /// Modeled per-task durations as placed on slots: winner compute plus
     /// lost attempts, scaled by the task's straggler slowdown, plus
@@ -176,14 +191,10 @@ struct PhaseStats {
     speculative_wins: u64,
 }
 
-fn phase_stats<T>(execs: &[(TaskExecution<T>, TaskFault)], overhead: Duration) -> PhaseStats {
+fn phase_stats<T>(execs: &[TaskRun<T>], overhead: Duration) -> PhaseStats {
     let mut stats = PhaseStats {
         effective: Vec::with_capacity(execs.len()),
-        retries: 0,
-        attempts: 0,
-        wasted: Duration::ZERO,
-        backoff: Duration::ZERO,
-        speculative_wins: 0,
+        ..PhaseStats::default()
     };
     for (exec, fault) in execs {
         let slowdown = fault.slowdown.max(1.0);
@@ -196,6 +207,30 @@ fn phase_stats<T>(execs: &[(TaskExecution<T>, TaskFault)], overhead: Duration) -
         stats.backoff += exec.backoff;
     }
     stats
+}
+
+/// Closes a phase: `Err` splits off the first task that exhausted its
+/// retry budget; otherwise speculation (when configured) re-runs
+/// stragglers through `rerun`, and every task's winning value commits.
+fn commit_phase<T: Send>(
+    execs: &mut Vec<TaskRun<T>>,
+    stats: &mut PhaseStats,
+    job: &Job<'_>,
+    rerun: impl Fn(usize, u32) -> T + Sync,
+) -> Result<Vec<T>, Failed<T>> {
+    if let Some(index) = execs.iter().position(|(exec, _)| !exec.succeeded()) {
+        return Err(Box::new((index, execs.swap_remove(index).0)));
+    }
+    if let Some(spec) = &job.config.speculation {
+        speculate_phase(execs, stats, spec, job.cluster, rerun);
+    }
+    Ok(execs
+        .iter_mut()
+        .map(|(exec, _)| match exec.value.take() {
+            Some(value) => value,
+            None => unreachable!("every task of a committing phase succeeded"),
+        })
+        .collect())
 }
 
 /// Slots still schedulable once `excluded` nodes (dead or blacklisted) are
@@ -235,7 +270,7 @@ fn median(durations: &[Duration]) -> Duration {
 /// straggling original; ties go to the original. Either loser's slot time
 /// is charged to `wasted`.
 fn speculate_phase<T: Send>(
-    execs: &mut [(TaskExecution<T>, TaskFault)],
+    execs: &mut [TaskRun<T>],
     stats: &mut PhaseStats,
     policy: &SpeculationPolicy,
     cluster: &ClusterConfig,
@@ -283,10 +318,15 @@ fn speculate_phase<T: Send>(
     }
 }
 
-/// Runs one MapReduce job (no combiner).
+/// Runs one MapReduce job.
 ///
-/// `splits` is the pre-split input `R_1, …, R_m` — one map task per split,
-/// exactly as the paper's job flows show (Figures 3–5). The reduce phase
+/// `source` holds the input splits `R_1, …, R_m` — one map task per split,
+/// exactly as the paper's job flows show (Figures 3–5). Any
+/// [`SplitSource`] works: pre-split `Vec<Vec<In>>` or `[Vec<In>]`, or an
+/// [`FnSplits`](crate::splits::FnSplits) recipe from which each map
+/// attempt materializes only its own split, for only as long as it runs
+/// (how queued jobs under the [`sched`](crate::sched) executor avoid
+/// pinning their whole input in RAM while they wait). The reduce phase
 /// runs `config.num_reducers` tasks; keys are routed by `partitioner`,
 /// sorted, and grouped.
 ///
@@ -346,77 +386,7 @@ fn speculate_phase<T: Send>(
 /// # Ok(())
 /// # }
 /// ```
-pub fn run_job<In, K, V, Out, MF, RF, P>(
-    cluster: &ClusterConfig,
-    config: &JobConfig,
-    splits: &[Vec<In>],
-    map_factory: &MF,
-    reduce_factory: &RF,
-    partitioner: &P,
-) -> Result<JobOutcome<Out>, JobError>
-where
-    In: Send + Sync,
-    K: crate::task::JobKey,
-    V: crate::task::JobValue + Clone,
-    Out: Send,
-    MF: MapFactory,
-    MF::Task: MapTask<In = In, K = K, V = V>,
-    RF: ReduceFactory,
-    RF::Task: ReduceTask<K = K, V = V, Out = Out>,
-    P: Partitioner<K>,
-{
-    run_job_with_combiner(
-        cluster,
-        config,
-        splits,
-        map_factory,
-        reduce_factory,
-        partitioner,
-        &NoCombiner,
-    )
-}
-
-/// Runs one MapReduce job with a map-side [`Combiner`] applied to each map
-/// task's output before the shuffle.
-pub fn run_job_with_combiner<In, K, V, Out, MF, RF, P, C>(
-    cluster: &ClusterConfig,
-    config: &JobConfig,
-    splits: &[Vec<In>],
-    map_factory: &MF,
-    reduce_factory: &RF,
-    partitioner: &P,
-    combiner: &C,
-) -> Result<JobOutcome<Out>, JobError>
-where
-    In: Send + Sync,
-    K: crate::task::JobKey,
-    V: crate::task::JobValue + Clone,
-    Out: Send,
-    MF: MapFactory,
-    MF::Task: MapTask<In = In, K = K, V = V>,
-    RF: ReduceFactory,
-    RF::Task: ReduceTask<K = K, V = V, Out = Out>,
-    P: Partitioner<K>,
-    C: Combiner<K, V>,
-{
-    run_job_with_combiner_from(
-        cluster,
-        config,
-        &SliceSplits::new(splits),
-        map_factory,
-        reduce_factory,
-        partitioner,
-        combiner,
-    )
-}
-
-/// [`run_job`], but fed from a [`SplitSource`] instead of materialized
-/// `Vec` splits: each map attempt materializes only its own split, for
-/// only as long as it runs. This is how queued jobs under the
-/// [`sched`](crate::sched) executor avoid pinning their whole input in
-/// RAM while they wait, and how datasets larger than memory stream in
-/// from a seeded [`FnSplits`](crate::splits::FnSplits) recipe.
-pub fn run_job_from<In, K, V, Out, S, MF, RF, P>(
+pub fn run_job<In, K, V, Out, S, MF, RF, P>(
     cluster: &ClusterConfig,
     config: &JobConfig,
     source: &S,
@@ -426,94 +396,338 @@ pub fn run_job_from<In, K, V, Out, S, MF, RF, P>(
 ) -> Result<JobOutcome<Out>, JobError>
 where
     In: Send + Sync,
-    K: crate::task::JobKey,
-    V: crate::task::JobValue + Clone,
+    K: JobKey,
+    V: JobValue + Clone,
     Out: Send,
-    S: SplitSource<In>,
+    S: SplitSource<In> + ?Sized,
     MF: MapFactory,
     MF::Task: MapTask<In = In, K = K, V = V>,
     RF: ReduceFactory,
     RF::Task: ReduceTask<K = K, V = V, Out = Out>,
     P: Partitioner<K>,
-{
-    run_job_with_combiner_from(
-        cluster,
-        config,
-        source,
-        map_factory,
-        reduce_factory,
-        partitioner,
-        &NoCombiner,
-    )
-}
-
-/// The fully general driver: [`SplitSource`] input plus a map-side
-/// [`Combiner`]. Everything else delegates here.
-pub fn run_job_with_combiner_from<In, K, V, Out, S, MF, RF, P, C>(
-    cluster: &ClusterConfig,
-    config: &JobConfig,
-    source: &S,
-    map_factory: &MF,
-    reduce_factory: &RF,
-    partitioner: &P,
-    combiner: &C,
-) -> Result<JobOutcome<Out>, JobError>
-where
-    In: Send + Sync,
-    K: crate::task::JobKey,
-    V: crate::task::JobValue + Clone,
-    Out: Send,
-    S: SplitSource<In>,
-    MF: MapFactory,
-    MF::Task: MapTask<In = In, K = K, V = V>,
-    RF: ReduceFactory,
-    RF::Task: ReduceTask<K = K, V = V, Out = Out>,
-    P: Partitioner<K>,
-    C: Combiner<K, V>,
 {
     assert!(config.num_reducers > 0, "a job needs at least one reducer");
-    let started = Instant::now(); // xtask: allow(clock-discipline) — feeds only metrics.host_wall (advisory); sim_runtime is derived from the cluster cost model
-    let counters = Counters::new();
-    let m = source.num_splits();
-    // Split lengths are model facts (skip-bad-records bounds, per-task
-    // records_in); sources report them without materializing any records.
-    let split_lens: Vec<usize> = (0..m).map(|i| source.split_len(i)).collect();
-    let r = config.num_reducers;
-    let plan = &config.faults;
-
-    // The cache broadcast happens before any task launches; failed
-    // transfers are re-sent in full, multiplying the charge.
-    let broadcast_attempts = plan.broadcast_failures_for(&config.name) + 1;
-    let broadcast_time = cluster.broadcast_time(config.cache_bytes) * broadcast_attempts;
-
-    // ---- Storage plane ----------------------------------------------------
-    // With a memory budget set, map output spills to sorted on-disk
-    // segments and reducers stream their input through an external merge;
-    // the session owns the job's spill directory and removes it on every
-    // exit path. Failing to create it is an environment fault the job
-    // cannot work around.
-    let spill_session: Option<SpillSession> = if cluster.storage.enabled() {
-        Some(
-            SpillSession::create(&cluster.storage, &config.name)
-                .expect("storage plane: cannot create spill directory"), // xtask: allow(no-unwrap) — an unusable spill root is an environment fault with no in-job recovery
-        )
-    } else {
-        None
-    };
-    let spill_budget = cluster.storage.memory_budget;
+    let job = Job::new(cluster, config, source);
+    let mut tally = Tally::new(&job);
 
     // ---- Map phase -------------------------------------------------------
-    // Scripted poison records: the UDF deterministically dies on these on
-    // every attempt, so only the skip-bad-records protocol below can get
-    // the task past them.
-    let map_poison: Vec<Vec<usize>> = (0..m)
-        .map(|i| plan.poison_records_for(&config.name, i))
+    let mapper = Mapper {
+        job: &job,
+        source,
+        factory: map_factory,
+        partitioner,
+        poison: (0..job.m)
+            .map(|i| config.faults.poison_records_for(&config.name, i))
+            .collect(),
+    };
+    let mut maps = match mapper.map_phase(&mut tally) {
+        Ok(maps) => maps,
+        Err(failed) => return Err(job.abort(TaskKind::Map, *failed, tally)),
+    };
+    let (lost, recovery) = mapper.regenerate_lost_partitions(&mut maps, &mut tally);
+    let map_models = map_task_models(&job, &maps, &mut tally);
+    let mut nodes = mapper.node_failure_domains(&mut maps, &map_models, &mut tally);
+    // Records retired by the skip protocol, as (task, record) pairs —
+    // the job completes without them and reports itself degraded.
+    let skipped: Vec<(usize, usize)> = maps
+        .skips
+        .iter()
+        .enumerate()
+        .flat_map(|(i, s)| s.iter().map(move |&n| (i, n)))
         .collect();
-    // Groups one batch of emitted pairs per key, applies the combiner,
-    // and partitions the result — the shared kernel of the in-memory path
-    // and of each spill (spilling combines per spill batch, exactly as
-    // Hadoop runs the combiner on each spill).
-    let route_batch = |pairs: Vec<(K, V)>| -> RoutedBatch<K, V> {
+
+    // ---- Shuffle ---------------------------------------------------------
+    let shuffled = mapper.shuffle_phase(maps, &nodes, &mut tally);
+
+    // ---- Reduce phase ----------------------------------------------------
+    let reducer = Reducer {
+        job: &job,
+        factory: reduce_factory,
+        shuffled,
+    };
+    let (reduce_execs, outputs) = match reducer.reduce_phase(&mut tally) {
+        Ok(phase) => phase,
+        Err(failed) => return Err(job.abort(TaskKind::Reduce, *failed, tally)),
+    };
+    // Reduce-phase blacklist pass: the final blacklist state covers the
+    // whole job.
+    nodes.strike(&job, TaskKind::Reduce, &reduce_execs);
+
+    // ---- Telemetry -------------------------------------------------------
+    // Assemble the deterministic execution record, derive the metrics
+    // registry from it, and emit the span timeline if a collector is
+    // attached. The registry is built either way: the countable
+    // `JobMetrics` fields are a facade over its counters.
+    let shuffled = reducer.shuffled;
+    let reduce_models: Vec<TaskModel> = reduce_execs
+        .iter()
+        .zip(shuffled.io.iter().zip(&shuffled.merge))
+        .zip(tally.metrics.per_reducer_bytes.iter().zip(&outputs))
+        .map(
+            |(((exec, fault), (&(keys, values), merge)), (&bytes, output))| TaskModel {
+                records_in: values,
+                keys_in: keys,
+                records_out: output.len() as u64,
+                bytes,
+                failures: exec
+                    .failures
+                    .iter()
+                    .map(|f| FailKind::from_cause(&f.cause))
+                    .collect(),
+                slowdown: fault.slowdown,
+                spills: Vec::new(),
+                merge: *merge,
+            },
+        )
+        .collect();
+    let record = JobRecord {
+        name: &config.name,
+        cluster,
+        retry: &config.retry,
+        cache_bytes: config.cache_bytes,
+        broadcast_attempts: job.broadcast_attempts,
+        broadcast_time: job.broadcast_time,
+        shuffle_time: tally.metrics.shuffle_time,
+        per_reducer_bytes: &tally.metrics.per_reducer_bytes,
+        map: map_models,
+        reduce: reduce_models,
+        recovery,
+        lost,
+        corrupt: shuffled.corrupt,
+        skipped,
+        node_losses: nodes.loss_events,
+        reexecuted: nodes.reexecuted,
+        maps_reexecuted: tally.metrics.maps_reexecuted,
+        nodes_blacklisted: nodes.blacklisted.len() as u64,
+        map_attempts: tally.map.attempts,
+        map_retries: tally.map.retries,
+        reduce_attempts: tally.reduce.attempts,
+        reduce_retries: tally.reduce.retries,
+        map_spec_wins: tally.map.speculative_wins,
+        reduce_spec_wins: tally.reduce.speculative_wins,
+        user_counters: job.counters.snapshot().into_iter().collect(),
+    };
+    let registry = record.build_registry();
+    if let Some(collector) = &config.collector {
+        record.emit(collector, registry.clone());
+    }
+
+    Ok(JobOutcome {
+        outputs,
+        metrics: tally.job_metrics(&job, Some(&registry)),
+        counters: job.counters.clone(),
+        registry,
+    })
+}
+
+/// The job-wide facts every phase reads.
+struct Job<'a> {
+    /// Host instant the job started: feeds only the advisory
+    /// [`JobMetrics::host_wall`].
+    started: Instant,
+    cluster: &'a ClusterConfig,
+    config: &'a JobConfig,
+    counters: Counters,
+    /// Map tasks (one per split).
+    m: usize,
+    /// Reduce tasks.
+    r: usize,
+    /// Split lengths are model facts (skip-bad-records bounds, per-task
+    /// records_in); sources report them without materializing any records.
+    split_lens: Vec<usize>,
+    broadcast_attempts: u32,
+    broadcast_time: Duration,
+    /// The out-of-core storage plane: with a memory budget set, map output
+    /// spills to sorted on-disk segments and reducers stream their input
+    /// through an external merge. The session owns the job's spill
+    /// directory and removes it on every exit path.
+    spill: Option<SpillSession>,
+}
+
+impl<'a> Job<'a> {
+    fn new<In, S: SplitSource<In> + ?Sized>(
+        cluster: &'a ClusterConfig,
+        config: &'a JobConfig,
+        source: &S,
+    ) -> Self {
+        let started = Instant::now(); // xtask: allow(clock-discipline) — feeds only metrics.host_wall (advisory); sim_runtime is derived from the cluster cost model
+        let m = source.num_splits();
+        // The cache broadcast happens before any task launches; failed
+        // transfers are re-sent in full, multiplying the charge.
+        let broadcast_attempts = config.faults.broadcast_failures_for(&config.name) + 1;
+        // Failing to create the spill directory is an environment fault the
+        // job cannot work around.
+        let spill = cluster.storage.enabled().then(|| {
+            SpillSession::create(&cluster.storage, &config.name)
+                .expect("storage plane: cannot create spill directory") // xtask: allow(no-unwrap) — an unusable spill root is an environment fault with no in-job recovery
+        });
+        Self {
+            started,
+            cluster,
+            config,
+            counters: Counters::new(),
+            m,
+            r: config.num_reducers,
+            split_lens: (0..m).map(|i| source.split_len(i)).collect(),
+            broadcast_attempts,
+            broadcast_time: cluster.broadcast_time(config.cache_bytes) * broadcast_attempts,
+            spill,
+        }
+    }
+
+    /// The context a factory creates task `index` of `num_tasks` from.
+    fn context(&self, index: usize, num_tasks: usize, attempt: u32) -> TaskContext {
+        TaskContext {
+            task_index: index,
+            num_tasks,
+            num_reducers: self.r,
+            attempt,
+            counters: self.counters.clone(),
+        }
+    }
+
+    /// The structured error of a job whose `failed` task exhausted its
+    /// retry budget, with the metrics charged up to that point.
+    fn abort<T>(
+        &self,
+        task: TaskKind,
+        (index, exec): (usize, TaskExecution<T>),
+        tally: Tally,
+    ) -> JobError {
+        JobError {
+            job: self.config.name.clone(),
+            task,
+            index,
+            attempts: exec.attempts,
+            history: exec.failures,
+            counters: self.counters.clone(),
+            metrics: Box::new(tally.job_metrics(self, None)),
+            payload: exec.payload,
+        }
+    }
+}
+
+/// What the job has charged so far: the [`JobMetrics`] the phases fill in
+/// as they go, plus the per-phase task accounting. [`Tally::job_metrics`]
+/// completes the metrics on every exit — a job aborted by a failed task
+/// reports zero for the phases it never reached.
+struct Tally {
+    metrics: JobMetrics,
+    map: PhaseStats,
+    reduce: PhaseStats,
+    /// The lost-partition recovery wave (part of the map phase).
+    recovery_time: Duration,
+    /// Reduce slots left once dead and blacklisted nodes are gone.
+    reduce_slots: usize,
+}
+
+impl Tally {
+    fn new(job: &Job<'_>) -> Self {
+        let mut metrics = JobMetrics::empty(&job.config.name, job.m, job.r);
+        metrics.cache_bytes = job.config.cache_bytes;
+        metrics.broadcast_time = job.broadcast_time;
+        metrics.startup_time = job.cluster.job_startup;
+        Self {
+            metrics,
+            map: PhaseStats::default(),
+            reduce: PhaseStats::default(),
+            recovery_time: Duration::ZERO,
+            reduce_slots: job.cluster.reduce_slots,
+        }
+    }
+
+    /// The job's metrics. A job that completed passes its `registry`, and
+    /// every countable field reads its counter there (`JobMetrics` is a
+    /// facade over the registry); an aborted job has no registry and
+    /// reports what the phases tallied.
+    fn job_metrics(self, job: &Job<'_>, registry: Option<&MetricsRegistry>) -> JobMetrics {
+        let Self {
+            mut metrics,
+            map,
+            reduce,
+            recovery_time,
+            reduce_slots,
+        } = self;
+        let (m, cluster) = (&mut metrics, job.cluster);
+        m.map_phase = makespan(&map.effective, cluster.map_slots, cluster.task_overhead)
+            + recovery_time
+            + m.reexecution_time;
+        m.reduce_phase = makespan(&reduce.effective, reduce_slots, cluster.task_overhead);
+        m.shuffle_bytes = m.per_reducer_bytes.iter().sum();
+        m.sim_runtime =
+            m.startup_time + m.broadcast_time + m.map_phase + m.shuffle_time + m.reduce_phase;
+        m.host_wall = job.started.elapsed();
+        m.map_retries = map.retries;
+        m.reduce_retries = reduce.retries;
+        m.attempts = map.attempts + reduce.attempts;
+        m.speculative_wins = map.speculative_wins + reduce.speculative_wins;
+        m.wasted_task_time = map.wasted + reduce.wasted;
+        m.backoff_time = map.backoff + reduce.backoff;
+        m.map_task_durations = map.effective;
+        m.reduce_task_durations = reduce.effective;
+        if let Some(registry) = registry {
+            for (field, key) in [
+                (&mut m.map_output_records, "map.records_out"),
+                (&mut m.reduce_input_keys, "reduce.input_keys"),
+                (&mut m.output_records, "reduce.records_out"),
+                (&mut m.map_retries, "map.retries"),
+                (&mut m.reduce_retries, "reduce.retries"),
+                (&mut m.attempts, "task.attempts"),
+                (&mut m.speculative_wins, "task.speculative_wins"),
+                (&mut m.nodes_lost, "node.lost"),
+                (&mut m.maps_reexecuted, "map.reexecuted"),
+                (&mut m.nodes_blacklisted, "node.blacklisted"),
+                (&mut m.corrupt_fetches, "shuffle.corrupt_fetches"),
+                (&mut m.records_skipped, "map.records_skipped"),
+                (&mut m.spill_files, "storage.spill_files"),
+                (&mut m.spilled_bytes, "storage.spilled_bytes"),
+                (&mut m.merge_passes, "storage.merge_passes"),
+            ] {
+                *field = registry.counter(key);
+            }
+        }
+        m.degraded = m.records_skipped > 0;
+        metrics
+    }
+}
+
+/// The map phase's product: every task's execution record, its committed
+/// output, and the records the skip protocol retired from its split.
+struct MapPhase<K, V> {
+    execs: Vec<TaskRun<MapResult<K, V>>>,
+    outputs: Vec<MapResult<K, V>>,
+    skips: Vec<BTreeSet<usize>>,
+}
+
+/// The map side of one job, through the shuffle. Every map attempt — first
+/// runs, retries, skip rounds, speculative backups and the re-execution
+/// waves — goes through [`Mapper::map_attempt`].
+struct Mapper<'a, S: ?Sized, MF, P> {
+    job: &'a Job<'a>,
+    source: &'a S,
+    factory: &'a MF,
+    partitioner: &'a P,
+    /// Scripted poison records per split: the UDF deterministically dies on
+    /// these on every attempt, so only the skip-bad-records protocol can
+    /// get the task past them.
+    poison: Vec<Vec<usize>>,
+}
+
+impl<'a, In, K, V, S, MF, P> Mapper<'a, S, MF, P>
+where
+    In: Send + Sync,
+    K: JobKey,
+    V: JobValue + Clone,
+    S: SplitSource<In> + ?Sized,
+    MF: MapFactory,
+    MF::Task: MapTask<In = In, K = K, V = V>,
+    P: Partitioner<K>,
+{
+    /// Groups one batch of emitted pairs per key and partitions the result
+    /// — the shared kernel of the in-memory path and of each spill. The
+    /// key-sorted order keeps the downstream pipeline deterministic.
+    fn route_batch(&self, pairs: Vec<(K, V)>) -> RoutedBatch<K, V> {
+        let r = self.job.r;
         let mut grouped: BTreeMap<K, Vec<V>> = BTreeMap::new();
         for (k, v) in pairs {
             grouped.entry(k).or_default().push(v);
@@ -522,59 +736,55 @@ where
         let mut bucket_bytes = vec![0u64; r];
         let mut records = 0u64;
         for (k, vs) in grouped {
-            let combined = combiner.combine(&k, vs);
-            let dest = partitioner.partition(&k, r);
+            let dest = self.partitioner.partition(&k, r);
             assert!(dest < r, "partitioner returned reducer {dest} of {r}");
-            for v in combined {
+            for v in vs {
                 records += 1;
                 bucket_bytes[dest] += k.byte_size() + v.byte_size();
                 buckets[dest].push((k.clone(), v));
             }
         }
         (buckets, bucket_bytes, records)
-    };
-    let run_map_attempt = |i: usize,
-                           attempt: u32,
-                           inject: Inject,
-                           skips: &BTreeSet<usize>,
-                           progress: &AtomicUsize|
-     -> MapResult<K, V> {
-        let ctx = TaskContext {
-            task_index: i,
-            num_tasks: m,
-            num_reducers: r,
-            attempt,
-            counters: counters.clone(),
-        };
-        let mut task = map_factory.create(&ctx);
+    }
+
+    /// One attempt of map task `i`. `skips` holds the records the
+    /// skip-bad-records protocol retired; `progress` is the attempt's
+    /// progress report to the tracker.
+    fn map_attempt(
+        &self,
+        i: usize,
+        attempt: u32,
+        inject: Inject,
+        skips: &BTreeSet<usize>,
+        progress: &AtomicUsize,
+    ) -> MapResult<K, V> {
+        let job = self.job;
+        let mut task = self.factory.create(&job.context(i, job.m, attempt));
         let mut emitter = Emitter::new();
         // Materialized for this attempt only; dropped when it returns.
-        let split = source.load(i);
+        let split = self.source.load(i);
         let split: &[In] = &split;
         // Out-of-core state for this attempt. The spill trigger compares
         // the emitter's wire-size accounting against the budget — a pure
         // function of the emitted data, so spill points are identical on
         // every host and every replay of this attempt.
+        let spill = job.spill.as_ref().zip(job.cluster.storage.memory_budget);
         let mut spilled: Vec<Segment> = Vec::new();
-        let mut bucket_bytes = vec![0u64; r];
+        let mut bucket_bytes = vec![0u64; job.r];
         let mut records = 0u64;
-        let spill_now = |emitter: &mut Emitter<K, V>,
-                         spilled: &mut Vec<Segment>,
-                         bucket_bytes: &mut Vec<u64>,
-                         records: &mut u64| {
-            let session = spill_session.as_ref().expect("spilling without a session"); // xtask: allow(no-unwrap) — spill_now only runs under a budget, which creates the session
+        let mut spill_now = |session: &SpillSession, emitter: &mut Emitter<K, V>| {
             let (pairs, _) = emitter.drain();
-            let (buckets, batch_bytes, batch_records) = route_batch(pairs);
+            let (buckets, batch_bytes, batch_records) = self.route_batch(pairs);
             let segment = write_segment(
                 session.segment_path(i, attempt),
                 &buckets,
-                cluster.storage.io_chunk,
+                job.cluster.storage.io_chunk,
             )
             .expect("storage plane: spill write failed"); // xtask: allow(no-unwrap) — the panic unwinds this attempt into the retry ladder, the storage plane's recovery path
             for (dest, b) in batch_bytes.into_iter().enumerate() {
                 bucket_bytes[dest] += b;
             }
-            *records += batch_records;
+            records += batch_records;
             spilled.push(segment);
         };
         // An injected mid-task crash fires halfway through the split — the
@@ -600,24 +810,24 @@ where
             if skips.contains(&n) {
                 continue;
             }
-            if map_poison[i].binary_search(&n).is_ok() {
+            if self.poison[i].binary_search(&n).is_ok() {
                 crate::pool::raise_injected_panic(format!(
                     "[fault-injection] map task {i} attempt {attempt} poisoned at record {n}"
                 ));
             }
             task.map(record, &mut emitter);
-            if let Some(budget) = spill_budget {
+            if let Some((session, budget)) = spill {
                 if emitter.buffered_bytes() >= budget {
-                    spill_now(&mut emitter, &mut spilled, &mut bucket_bytes, &mut records);
+                    spill_now(session, &mut emitter);
                 }
             }
         }
         task.finish(&mut emitter);
-        if spill_budget.is_some() {
+        if let Some((session, _)) = spill {
             // The tail batch always goes to disk too — with a budget set,
             // map RAM never holds the task's full output.
             if !emitter.is_empty() {
-                spill_now(&mut emitter, &mut spilled, &mut bucket_bytes, &mut records);
+                spill_now(session, &mut emitter);
             }
             return MapResult {
                 buckets: MapBuckets::Spilled(spilled),
@@ -626,39 +836,50 @@ where
             };
         }
         let (pairs, _) = emitter.into_parts();
-        // Group this task's output per key and apply the combiner (the
-        // identity combiner leaves values untouched); the key-sorted order
-        // keeps the downstream pipeline deterministic.
-        let (buckets, bucket_bytes, records) = route_batch(pairs);
+        let (buckets, bucket_bytes, records) = self.route_batch(pairs);
         MapResult {
             buckets: MapBuckets::Memory(buckets),
             bucket_bytes,
             records,
         }
-    };
+    }
 
-    let map_runs = run_indexed(m, cluster.host_threads, |i| {
-        let fault = plan.task_fault(&config.name, TaskKind::Map, i);
+    /// A clean (never injected) attempt of map task `i`, as speculative
+    /// backups and re-execution waves launch it.
+    fn clean_map_attempt(
+        &self,
+        i: usize,
+        attempt: u32,
+        skips: &BTreeSet<usize>,
+    ) -> MapResult<K, V> {
+        let progress = AtomicUsize::new(usize::MAX);
+        self.map_attempt(i, attempt, Inject::None, skips, &progress)
+    }
+
+    /// Runs map task `i` until it commits or its budget runs out, then
+    /// applies Hadoop's skip-bad-records protocol: when the budget
+    /// exhausts with a panic, the tracker's last progress report names the
+    /// suspect record; it enters the skip set and the task re-runs without
+    /// it. Scripted attempt failures were consumed by the first round, so
+    /// later rounds face only the data. Each round retires one record,
+    /// bounding the loop by the split length.
+    fn map_task(&self, i: usize) -> (TaskRun<MapResult<K, V>>, BTreeSet<usize>) {
+        let (cluster, config) = (self.job.cluster, self.job.config);
+        let fault = config.faults.task_fault(&config.name, TaskKind::Map, i);
         let mut skips: BTreeSet<usize> = BTreeSet::new();
         let progress = AtomicUsize::new(usize::MAX);
         // Map inputs are immutable splits, so every attempt can replay.
-        progress.store(usize::MAX, Ordering::Relaxed);
         let mut exec = run_attempts(
             &fault,
             &config.retry,
             None,
             cluster.progress_timeout,
-            |attempt, inject| run_map_attempt(i, attempt, inject, &skips, &progress),
+            |attempt, inject| self.map_attempt(i, attempt, inject, &skips, &progress),
         );
-        // Hadoop's skip-bad-records protocol: when the budget exhausts
-        // with a panic, the tracker's last progress report names the
-        // suspect record; it enters the skip set and the task re-runs
-        // without it. Scripted attempt failures were consumed by the
-        // first round, so later rounds face only the data. Each round
-        // retires one record, bounding the loop by the split length.
         let mut round_fault = fault;
         round_fault.failures = 0;
-        for _round in 0..split_lens[i] {
+        let split_len = self.job.split_lens[i];
+        for _round in 0..split_len {
             if exec.succeeded() || !cluster.skip_bad_records {
                 break;
             }
@@ -669,7 +890,7 @@ where
                 Some(FailureCause::Panic { .. })
             );
             let suspect = progress.load(Ordering::Relaxed);
-            if !panicked || suspect >= split_lens[i] || !skips.insert(suspect) {
+            if !panicked || suspect >= split_len || !skips.insert(suspect) {
                 break;
             }
             progress.store(usize::MAX, Ordering::Relaxed);
@@ -678,7 +899,7 @@ where
                 &config.retry,
                 None,
                 cluster.progress_timeout,
-                |attempt, inject| run_map_attempt(i, attempt, inject, &skips, &progress),
+                |attempt, inject| self.map_attempt(i, attempt, inject, &skips, &progress),
             );
             exec.attempts += next.attempts;
             exec.failures.extend(next.failures);
@@ -691,936 +912,723 @@ where
             }
         }
         ((exec, fault), skips)
-    });
-    let mut map_execs: Vec<(TaskExecution<MapResult<K, V>>, TaskFault)> = Vec::with_capacity(m);
-    let mut map_skips: Vec<BTreeSet<usize>> = Vec::with_capacity(m);
-    for ((pair, skips), _) in map_runs {
-        map_execs.push(pair);
-        map_skips.push(skips);
-    }
-    // Records retired by the skip protocol, as (task, record) pairs —
-    // the job completes without them and reports itself degraded.
-    let skipped: Vec<(usize, usize)> = map_skips
-        .iter()
-        .enumerate()
-        .flat_map(|(i, s)| s.iter().map(move |&n| (i, n)))
-        .collect();
-
-    let mut map_stats = phase_stats(&map_execs, cluster.task_overhead);
-
-    if let Some(index) = map_execs.iter().position(|(e, _)| !e.succeeded()) {
-        let (exec, _) = map_execs.swap_remove(index);
-        let mut metrics = JobMetrics::empty(&config.name, m, r);
-        metrics.map_phase = makespan(
-            &map_stats.effective,
-            cluster.map_slots,
-            cluster.task_overhead,
-        );
-        metrics.cache_bytes = config.cache_bytes;
-        metrics.broadcast_time = broadcast_time;
-        metrics.startup_time = cluster.job_startup;
-        metrics.map_retries = map_stats.retries;
-        metrics.attempts = map_stats.attempts;
-        metrics.wasted_task_time = map_stats.wasted;
-        metrics.backoff_time = map_stats.backoff;
-        metrics.map_task_durations = map_stats.effective;
-        metrics.records_skipped = skipped.len() as u64;
-        metrics.degraded = !skipped.is_empty();
-        metrics.sim_runtime = cluster.job_startup + broadcast_time + metrics.map_phase;
-        metrics.host_wall = started.elapsed();
-        return Err(JobError {
-            job: config.name.clone(),
-            task: TaskKind::Map,
-            index,
-            attempts: exec.attempts,
-            history: exec.failures,
-            counters,
-            metrics: Box::new(metrics),
-            payload: exec.payload,
-        });
     }
 
-    if let Some(spec) = &config.speculation {
-        speculate_phase(
-            &mut map_execs,
-            &mut map_stats,
-            spec,
-            cluster,
-            |i, attempt| {
-                let progress = AtomicUsize::new(usize::MAX);
-                run_map_attempt(i, attempt, Inject::None, &map_skips[i], &progress)
-            },
-        );
+    /// Runs every map task, then speculation. `Err` carries the first task
+    /// that exhausted its budget.
+    fn map_phase(&self, tally: &mut Tally) -> Result<MapPhase<K, V>, Failed<MapResult<K, V>>> {
+        let cluster = self.job.cluster;
+        let runs = run_indexed(self.job.m, cluster.host_threads, |i| self.map_task(i));
+        let (mut execs, skips): (Vec<_>, Vec<_>) = runs.into_iter().map(|(run, _)| run).unzip();
+        tally.metrics.records_skipped =
+            skips.iter().map(|s: &BTreeSet<usize>| s.len() as u64).sum();
+        tally.map = phase_stats(&execs, cluster.task_overhead);
+        let outputs = commit_phase(&mut execs, &mut tally.map, self.job, |i, attempt| {
+            self.clean_map_attempt(i, attempt, &skips[i])
+        })?;
+        Ok(MapPhase {
+            execs,
+            outputs,
+            skips,
+        })
     }
 
-    let mut map_outputs: Vec<MapResult<K, V>> = Vec::with_capacity(m);
-    for (exec, _) in &mut map_execs {
-        match exec.value.take() {
-            Some(result) => map_outputs.push(result),
-            None => unreachable!("map failures were handled above"),
+    /// Re-executes map `tasks` as one wave of clean attempts whose outputs
+    /// replace the committed ones — byte-identical, because inputs replay
+    /// and UDFs are pure. Each re-run is charged as one more attempt;
+    /// returns the wave's makespan over the `slots` map slots still
+    /// schedulable.
+    fn reexecute_maps(
+        &self,
+        tasks: &[usize],
+        maps: &mut MapPhase<K, V>,
+        stats: &mut PhaseStats,
+        slots: usize,
+    ) -> Duration {
+        if tasks.is_empty() {
+            return Duration::ZERO;
         }
+        let cluster = self.job.cluster;
+        let next_attempts: Vec<u32> = tasks.iter().map(|&i| maps.execs[i].0.attempts).collect();
+        let reruns = run_indexed(tasks.len(), cluster.host_threads, |c| {
+            let i = tasks[c];
+            self.clean_map_attempt(i, next_attempts[c], &maps.skips[i])
+        });
+        let mut wave: Vec<Duration> = Vec::with_capacity(tasks.len());
+        for (&i, (result, duration)) in tasks.iter().zip(reruns) {
+            maps.outputs[i] = result;
+            wave.push(duration);
+        }
+        stats.attempts += tasks.len() as u64;
+        makespan(&wave, slots, cluster.task_overhead)
     }
 
-    // Lost shuffle partitions: the affected map tasks re-execute (their
-    // inputs are replayable) in a second wave, and the regenerated buckets
-    // replace the lost ones — byte-identical because UDFs are pure.
-    let lost = plan.lost_partitions_for(&config.name, m, r);
-    let mut recovery_wave: Vec<Duration> = Vec::new();
-    let mut recovery_tasks: Vec<usize> = Vec::new();
-    if !lost.is_empty() {
+    /// Lost shuffle partitions: the affected map tasks re-execute in a
+    /// second wave before the shuffle, and their regenerated outputs
+    /// replace the lost ones. Returns the lost `(map, reducer)` partitions
+    /// and the re-executed tasks.
+    fn regenerate_lost_partitions(
+        &self,
+        maps: &mut MapPhase<K, V>,
+        tally: &mut Tally,
+    ) -> (Vec<(usize, usize)>, Vec<usize>) {
+        let (job, config) = (self.job, self.job.config);
+        let lost = config
+            .faults
+            .lost_partitions_for(&config.name, job.m, job.r);
         let affected: Vec<usize> = lost
             .iter()
             .map(|&(i, _)| i)
             .collect::<BTreeSet<usize>>()
             .into_iter()
             .collect();
-        let next_attempts: Vec<u32> = affected.iter().map(|&i| map_execs[i].0.attempts).collect();
-        let reruns = run_indexed(affected.len(), cluster.host_threads, |c| {
-            let i = affected[c];
-            let progress = AtomicUsize::new(usize::MAX);
-            run_map_attempt(i, next_attempts[c], Inject::None, &map_skips[i], &progress)
-        });
-        let mut regenerated: BTreeMap<usize, MapResult<K, V>> = BTreeMap::new();
-        for (c, (result, duration)) in reruns.into_iter().enumerate() {
-            recovery_wave.push(duration);
-            regenerated.insert(affected[c], result);
-        }
-        if spill_session.is_some() {
-            // Spilled outputs are whole segment files; the regenerated
-            // output replaces the lost task's segments wholesale —
-            // equivalent to patching one bucket because pure UDFs
-            // regenerate byte-identical output.
-            for (i, regen) in regenerated {
-                if let Some(original) = map_outputs.get_mut(i) {
-                    *original = regen;
-                }
-            }
-        } else {
-            for &(i, j) in &lost {
-                if let (
-                    Some(MapResult {
-                        buckets: MapBuckets::Memory(regen_buckets),
-                        bucket_bytes: regen_bytes,
-                        ..
-                    }),
-                    Some(MapResult {
-                        buckets: MapBuckets::Memory(buckets),
-                        bucket_bytes,
-                        ..
-                    }),
-                ) = (regenerated.get_mut(&i), map_outputs.get_mut(i))
-                {
-                    buckets[j] = std::mem::take(&mut regen_buckets[j]);
-                    bucket_bytes[j] = regen_bytes[j];
-                }
-            }
-        }
-        map_stats.retries += affected.len() as u64;
-        map_stats.attempts += affected.len() as u64;
-        recovery_tasks = affected;
+        tally.recovery_time =
+            self.reexecute_maps(&affected, maps, &mut tally.map, job.cluster.map_slots);
+        tally.map.retries += affected.len() as u64;
+        (lost, affected)
     }
 
-    let map_output_records: u64 = map_outputs.iter().map(|res| res.records).sum();
-    // Per-task I/O facts for the trace model, captured before the shuffle
-    // consumes the map outputs: (records_out, shuffle bytes emitted).
-    let map_io: Vec<(u64, u64)> = map_outputs
-        .iter()
-        .map(|res| (res.records, res.bucket_bytes.iter().sum::<u64>()))
-        .collect();
-    // Spill accounting: on-disk bytes per spill file backing the final
-    // shuffle (failed and superseded attempts' files are dropped unread).
-    // Each task's spill traffic is charged to its modeled duration through
-    // the disk cost model *before* the phase makespan and the node-loss
-    // timeline consume those durations, so spilling slows the simulated
-    // job exactly where Hadoop pays for it.
-    let map_spills: Vec<Vec<u64>> = map_outputs
-        .iter()
-        .map(|res| match &res.buckets {
+    /// Node failure domains. With a placement, every map task's
+    /// materialized output has a home node — a pure hash of (seed, job,
+    /// kind, index), never the measured LPT schedule. Node losses are
+    /// resolved on the deterministic model-tick timeline: completed map
+    /// outputs on a dead node are invalidated and re-execute before the
+    /// shuffle can finish, in-flight attempts die and retry, and the
+    /// heartbeat timeout plus the re-execution wave are charged to the
+    /// simulated clock (folded into the map phase).
+    fn node_failure_domains(
+        &self,
+        maps: &mut MapPhase<K, V>,
+        map_models: &[TaskModel],
+        tally: &mut Tally,
+    ) -> Nodes {
+        let (cluster, config) = (self.job.cluster, self.job.config);
+        let mut nodes = Nodes {
+            all: (0..cluster.nodes.max(1)).collect(),
+            ..Nodes::default()
+        };
+        let Some(placement) = &cluster.placement else {
+            return nodes;
+        };
+        nodes.map_homes = (0..self.job.m)
+            .map(|i| placement.task_home(&config.name, TaskKind::Map, i, &nodes.all))
+            .collect();
+        // Map-phase blacklist pass: nodes over the strike budget leave
+        // scheduling before the re-execution wave and the reduce phase
+        // launch.
+        nodes.strike(self.job, TaskKind::Map, &maps.execs);
+        let node_losses = config.faults.node_losses_for(&config.name, cluster.nodes);
+        tally.metrics.nodes_lost = node_losses.len() as u64;
+        if node_losses.is_empty() {
+            return nodes;
+        }
+        let overhead_ticks = crate::trace::ticks_of(cluster.task_overhead);
+        let map_ticks: Vec<u64> = map_models
+            .iter()
+            .map(|t| t.total_ticks(&config.retry, overhead_ticks))
+            .collect();
+        let (map_places, map_model_end) =
+            skymr_telemetry::place::place(&map_ticks, cluster.map_slots, overhead_ticks);
+        let heartbeat = crate::trace::ticks_of(cluster.heartbeat_timeout);
+        let mut affected: BTreeSet<usize> = BTreeSet::new();
+        for loss in &node_losses {
+            nodes.dead.insert(loss.node);
+            // Losses past the end of the map phase land at the shuffle
+            // barrier — the moment the missing outputs are discovered.
+            let at = loss.at_tick.min(map_model_end);
+            nodes.loss_events.push(NodeLossEvent {
+                node: loss.node,
+                at_tick: at,
+                detect_tick: at.saturating_add(heartbeat),
+            });
+            // Detection is charged once per loss, unconditionally: the
+            // tracker waits out the heartbeat timeout before declaring
+            // the node dead and rescheduling its work.
+            tally.metrics.reexecution_time += cluster.heartbeat_timeout;
+            for (i, p) in map_places.iter().enumerate() {
+                if nodes.map_homes[i] != loss.node {
+                    continue;
+                }
+                if p.end <= at {
+                    // Completed: the materialized output is gone.
+                    tally.metrics.maps_reexecuted += 1;
+                    affected.insert(i);
+                } else if p.start < at {
+                    // In-flight: the attempt dies with the node.
+                    tally.map.retries += 1;
+                    tally.map.wasted += Duration::from_micros(at - p.start);
+                    affected.insert(i);
+                }
+                // Pending tasks simply launch on a surviving node.
+            }
+        }
+        let survivors = nodes.survivors();
+        nodes.reexecuted = affected.into_iter().collect();
+        // Replacement outputs materialize on surviving nodes.
+        for &i in &nodes.reexecuted {
+            nodes.map_homes[i] = placement.task_home(&config.name, TaskKind::Map, i, &survivors);
+        }
+        let slots = surviving_slots(cluster.map_slots, cluster.nodes, &nodes.excluded());
+        tally.metrics.reexecution_time +=
+            self.reexecute_maps(&nodes.reexecuted, maps, &mut tally.map, slots);
+        nodes
+    }
+
+    /// The shuffle: every map output crosses to its reducers through the
+    /// data-integrity checks, into in-memory group maps or (spill mode) a
+    /// per-reducer list of on-disk runs. Charges the transfer, stalls and
+    /// recovery to the shuffle clock.
+    fn shuffle_phase(
+        &self,
+        mut maps: MapPhase<K, V>,
+        nodes: &Nodes,
+        tally: &mut Tally,
+    ) -> Shuffled<'a, K, V> {
+        let job = self.job;
+        let cluster: &ClusterConfig = job.cluster;
+        let (config, plan) = (job.config, &job.config.faults);
+        let (m, r) = (job.m, job.r);
+        // Dead and blacklisted nodes take their slots with them for the rest
+        // of the job: the corruption wave below and the reduce phase run on
+        // what survives.
+        let excluded = nodes.excluded();
+        tally.reduce_slots = surviving_slots(cluster.reduce_slots, cluster.nodes, &excluded);
+
+        // ---- Data-plane integrity ----------------------------------------
+        // Partition fetches whose frames arrive corrupted, keyed by
+        // (map, reducer). One bad fetch is transient: the reducer re-fetches
+        // and the second copy verifies. Two bad fetches mean the materialized
+        // map output itself is rotten: the producer re-executes (pure UDFs
+        // regenerate byte-identical output) before the merge below consumes
+        // it, and the wave is charged to the shuffle clock where the
+        // corruption was discovered.
+        let corrupt_plan: BTreeMap<(usize, usize), CorruptFetch> = plan
+            .corrupt_fetches_for(&config.name, m, r)
+            .into_iter()
+            .map(|c| ((c.map, c.reducer), c))
+            .collect();
+        let corrupt_reexec: Vec<usize> = corrupt_plan
+            .values()
+            .filter(|c| c.fetches >= 2)
+            .map(|c| c.map)
+            .collect::<BTreeSet<usize>>()
+            .into_iter()
+            .collect();
+        let map_slots = surviving_slots(cluster.map_slots, cluster.nodes, &excluded);
+        let corrupt_reexec_time =
+            self.reexecute_maps(&corrupt_reexec, &mut maps, &mut tally.map, map_slots);
+        tally.map.retries += corrupt_reexec.len() as u64;
+
+        // With a placement, reducers get homes too (over surviving nodes), and
+        // only buckets whose producing map task is homed elsewhere cross the
+        // network; without one, the closed-form remote fraction applies.
+        let survivors = nodes.survivors();
+        let reducer_homes: Option<Vec<usize>> = cluster.placement.as_ref().map(|p| {
+            (0..r)
+                .map(|j| p.task_home(&config.name, TaskKind::Reduce, j, &survivors))
+                .collect()
+        });
+        let mut remote_per_node = vec![0u64; cluster.nodes.max(1)];
+        let mut per_reducer_bytes = vec![0u64; r];
+        let mut groups: Vec<BTreeMap<K, Vec<V>>> = (0..r).map(|_| BTreeMap::new()).collect();
+        // Spill mode: each reducer's input is a priority-ordered list of runs
+        // (map index, then spill sequence) merged lazily in the reduce phase;
+        // nothing is materialized here.
+        let mut reducer_runs: Vec<Vec<(Segment, usize)>> = (0..r).map(|_| Vec::new()).collect();
+        // Debug builds tally the mapper-emitted pairs per key so the shuffle
+        // can be checked as an exact partition of the map output below.
+        let mut emitted: BTreeMap<K, u64> = BTreeMap::new();
+        let mut corrupt: Vec<CorruptEvent> = Vec::new();
+        let mut refetch_bytes = 0u64;
+        // Each failed fetch of partition (i, j) re-transfers its `bytes`.
+        let mut refetch = |i: usize, j: usize, c: &CorruptFetch, bytes: u64| {
+            let failed = c.fetches.min(2);
+            refetch_bytes += bytes * u64::from(failed);
+            corrupt.push(CorruptEvent {
+                map: i,
+                reducer: j,
+                fetches: failed,
+                reexecuted: c.fetches >= 2,
+            });
+        };
+        for (i, result) in maps.outputs.into_iter().enumerate() {
+            for j in 0..r {
+                per_reducer_bytes[j] += result.bucket_bytes[j];
+                if let Some(homes) = &reducer_homes {
+                    if nodes.map_homes[i] != homes[j] {
+                        remote_per_node[homes[j]] += result.bucket_bytes[j];
+                    }
+                }
+            }
+            match result.buckets {
+                MapBuckets::Memory(buckets) => {
+                    for (j, bucket) in buckets.into_iter().enumerate() {
+                        // Every partition crosses the shuffle boundary as one
+                        // checksummed frame; the reduce side verifies before it
+                        // consumes a single record, so the codec is load-bearing.
+                        let frame = encode_pairs(&bucket);
+                        drop(bucket);
+                        if let Some(c) = corrupt_plan.get(&(i, j)) {
+                            // Deliver the corrupted copy first: flip one seeded bit
+                            // and require verification to reject it, then charge the
+                            // re-fetch traffic. At-rest corruption (two bad fetches)
+                            // already escalated to re-executing the producer above,
+                            // so the frame in hand is clean either way.
+                            let bit = c.bit_seed % (frame.len() as u64 * 8);
+                            let byte = (bit / 8) as usize;
+                            let mut bad = frame.clone();
+                            bad[byte] ^= 1 << (bit % 8);
+                            assert!(
+                                decode_pairs::<K, V>(&bad).is_err(),
+                                "a single-bit flip must never pass frame verification"
+                            );
+                            refetch(i, j, c, frame.len() as u64);
+                        }
+                        let Ok(pairs) = decode_pairs::<K, V>(&frame) else {
+                            unreachable!("a freshly encoded frame always verifies");
+                        };
+                        for (k, v) in pairs {
+                            if cfg!(debug_assertions) {
+                                *emitted.entry(k.clone()).or_insert(0) += 1;
+                            }
+                            groups[j].entry(k).or_default().push(v);
+                        }
+                    }
+                }
+                MapBuckets::Spilled(segments) => {
+                    // The shuffle-phase integrity scan: every partition's
+                    // frames are checksum-verified at rest before the merge
+                    // consumes a single record. Corruption injection flips a
+                    // real bit in the segment file, and verification must
+                    // reject it; the re-fetch is modeled by flipping the bit
+                    // back (XOR restores the byte) and re-verifying clean.
+                    // Two bad fetches already escalated to re-executing the
+                    // producer above, so the files in hand regenerate clean.
+                    debug_assert_eq!(
+                        segments
+                            .iter()
+                            .flat_map(|s| s.parts.iter())
+                            .map(|p| p.records)
+                            .sum::<u64>(),
+                        result.records,
+                        "spill manifests must account for every map output record"
+                    );
+                    for j in 0..r {
+                        if let Some(c) = corrupt_plan.get(&(i, j)) {
+                            let target = segments
+                                .iter()
+                                .find(|s| s.parts.get(j).is_some_and(|p| p.len > 0));
+                            if let Some(seg) = target {
+                                let meta = &seg.parts[j];
+                                flip_bit(&seg.path, meta.offset, meta.len, c.bit_seed)
+                                    .expect("storage plane: corruption injection failed"); // xtask: allow(no-unwrap) — scripted-fault machinery; a failing injection must abort the experiment loudly
+                                let err = verify_frames(seg, j)
+                                    .expect_err("a flipped bit must never pass frame verification"); // xtask: allow(no-unwrap) — asserts the CRC invariant the chaos test exists to prove
+                                let restored =
+                                    flip_bit(&seg.path, meta.offset, meta.len, c.bit_seed);
+                                restored.expect("storage plane: corruption restore failed"); // xtask: allow(no-unwrap) — scripted-fault machinery; a failing restore must abort the experiment loudly
+                                assert!(err.is_corruption(), "flip must read as corruption: {err}");
+                            }
+                            let part_bytes: u64 = segments
+                                .iter()
+                                .filter_map(|s| s.parts.get(j))
+                                .map(|p| p.len)
+                                .sum();
+                            refetch(i, j, c, part_bytes);
+                        }
+                        for seg in &segments {
+                            if let Err(e) = verify_frames(seg, j) {
+                                panic!("storage plane: spill segment failed the shuffle integrity scan after recovery: {e}");
+                            }
+                        }
+                    }
+                    for seg in segments {
+                        for (j, runs) in reducer_runs.iter_mut().enumerate() {
+                            if seg.parts.get(j).is_some_and(|p| p.records > 0) {
+                                runs.push((seg.clone(), j));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if cfg!(debug_assertions) {
+            crate::analysis::assert_shuffle_invariants(&emitted, &groups);
+        }
+        drop(emitted);
+
+        // Per-reducer group facts for the trace model: (distinct keys, values),
+        // plus (spill mode) the closed-form merge-cascade cost the model
+        // charges — a pure function of the manifests, identical for every
+        // attempt of the reducer.
+        let (input, io, merge): (_, Vec<(u64, u64)>, Vec<Option<MergeStats>>) =
+            match job.spill.as_ref() {
+                Some(session) => {
+                    let fan_in = cluster.storage.merge_fan_in;
+                    let counted = run_indexed(r, cluster.host_threads, |j| {
+                        spilled_group_counts::<K, V>(&reducer_runs[j], fan_in)
+                    });
+                    let (io, merge) = counted
+                        .into_iter()
+                        .map(|((io, stats), _)| (io, Some(stats)))
+                        .unzip();
+                    (ReduceInput::Spilled(session, reducer_runs), io, merge)
+                }
+                None => {
+                    let io = groups
+                        .iter()
+                        .map(|g| {
+                            let values: usize = g.values().map(Vec::len).sum();
+                            (g.len() as u64, values as u64)
+                        })
+                        .collect();
+                    let slots = groups
+                        .into_iter()
+                        .map(|g| parking_lot::Mutex::new(Some(g)))
+                        .collect();
+                    (ReduceInput::Memory(slots), io, vec![None; r])
+                }
+            };
+
+        // Transient node partitions stall the shuffle barrier for their
+        // duration (model ticks); folding the stall into `shuffle_time` shifts
+        // everything downstream — trace, sim clock — consistently. Corrupted
+        // fetches charge the same way: each failed fetch re-transfers its
+        // whole frame (always remote — the local copy is the bad one), and an
+        // escalated producer re-execution wave runs before the barrier lifts.
+        let partition_ticks: u64 = match &cluster.placement {
+            Some(_) => plan
+                .node_partitions_for(&config.name, cluster.nodes)
+                .iter()
+                .map(|p| p.for_ticks)
+                .sum(),
+            None => 0,
+        };
+        let refetch_stall =
+            Duration::from_secs_f64(refetch_bytes as f64 / cluster.network_bytes_per_sec);
+        let transfer = if reducer_homes.is_some() {
+            cluster.shuffle_time_placed(&remote_per_node)
+        } else {
+            cluster.shuffle_time(&per_reducer_bytes)
+        };
+        tally.metrics.shuffle_time =
+            transfer + Duration::from_micros(partition_ticks) + refetch_stall + corrupt_reexec_time;
+        tally.metrics.per_reducer_bytes = per_reducer_bytes;
+        tally.metrics.reduce_input_keys = io.iter().map(|&(keys, _)| keys).sum();
+        tally.metrics.corrupt_fetches = corrupt.iter().map(|c| u64::from(c.fetches)).sum();
+        tally.metrics.merge_passes = merge.iter().flatten().map(|s| s.passes).sum();
+        Shuffled {
+            input,
+            io,
+            merge,
+            corrupt,
+        }
+    }
+}
+
+/// Charges each map task's spill traffic to its modeled duration and
+/// builds the per-task models the trace and the node-loss timeline read.
+///
+/// Spill accounting: on-disk bytes per spill file backing the final
+/// shuffle (failed and superseded attempts' files are dropped unread).
+/// The charge goes through the disk cost model *before* the phase
+/// makespan and the node-loss timeline consume those durations, so
+/// spilling slows the simulated job exactly where Hadoop pays for it.
+fn map_task_models<K, V>(
+    job: &Job<'_>,
+    maps: &MapPhase<K, V>,
+    tally: &mut Tally,
+) -> Vec<TaskModel> {
+    let mut models = Vec::with_capacity(job.m);
+    for (i, ((exec, fault), res)) in maps.execs.iter().zip(&maps.outputs).enumerate() {
+        let spills: Vec<u64> = match &res.buckets {
             MapBuckets::Spilled(segments) => segments.iter().map(Segment::disk_bytes).collect(),
             MapBuckets::Memory(_) => Vec::new(),
-        })
-        .collect();
-    for (i, spills) in map_spills.iter().enumerate() {
+        };
+        let spilled_bytes: u64 = spills.iter().sum();
         if !spills.is_empty() {
-            let bytes: u64 = spills.iter().sum();
-            map_stats.effective[i] += cluster.storage.io_time(bytes, spills.len() as u64);
+            tally.map.effective[i] += job
+                .cluster
+                .storage
+                .io_time(spilled_bytes, spills.len() as u64);
         }
-    }
-    let map_models: Vec<TaskModel> = split_lens
-        .iter()
-        .zip(map_execs.iter().zip(map_io.iter().zip(&map_spills)))
-        .map(
-            |(&split_len, ((exec, fault), (&(records_out, bytes), spills)))| TaskModel {
-                records_in: split_len as u64,
-                keys_in: 0,
-                records_out,
-                bytes,
-                failures: exec
-                    .failures
-                    .iter()
-                    .map(|f| FailKind::from_cause(&f.cause))
-                    .collect(),
-                slowdown: fault.slowdown,
-                spills: spills.clone(),
-                merge: None,
-            },
-        )
-        .collect();
-
-    // ---- Node failure domains --------------------------------------------
-    // With a placement, every map task's materialized output has a home
-    // node — a pure hash of (seed, job, kind, index), never the measured
-    // LPT schedule. Node losses are resolved on the deterministic
-    // model-tick timeline: completed map outputs on a dead node are
-    // invalidated and re-execute before the shuffle can finish, in-flight
-    // attempts die and retry, and the heartbeat timeout plus the
-    // re-execution wave are charged to the simulated clock (folded into
-    // the map phase).
-    let node_losses = match &cluster.placement {
-        Some(_) => plan.node_losses_for(&config.name, cluster.nodes),
-        None => Vec::new(),
-    };
-    let node_partitions = match &cluster.placement {
-        Some(_) => plan.node_partitions_for(&config.name, cluster.nodes),
-        None => Vec::new(),
-    };
-    let all_nodes: Vec<usize> = (0..cluster.nodes.max(1)).collect();
-    let mut map_homes: Vec<usize> = match &cluster.placement {
-        Some(p) => (0..m)
-            .map(|i| p.task_home(&config.name, TaskKind::Map, i, &all_nodes))
-            .collect(),
-        None => Vec::new(),
-    };
-    // Map-phase blacklist pass: failed attempts are attributed to the node
-    // they ran on; nodes over the strike budget leave scheduling before
-    // the re-execution wave and the reduce phase launch.
-    let mut strikes: BTreeMap<usize, u32> = BTreeMap::new();
-    let mut blacklisted: BTreeSet<usize> = BTreeSet::new();
-    if let (Some(placement), Some(policy)) = (&cluster.placement, &config.blacklist) {
-        for (i, (exec, _)) in map_execs.iter().enumerate() {
-            for f in &exec.failures {
-                let node =
-                    placement.attempt_home(&config.name, TaskKind::Map, i, f.attempt, &all_nodes);
-                *strikes.entry(node).or_insert(0) += 1;
-            }
-        }
-        blacklisted = over_budget(&strikes, policy);
-    }
-    let mut dead_nodes: BTreeSet<usize> = BTreeSet::new();
-    let mut node_loss_events: Vec<NodeLossEvent> = Vec::new();
-    let mut reexec_tasks: Vec<usize> = Vec::new();
-    let mut reexecution_time = Duration::ZERO;
-    let mut maps_reexecuted = 0u64;
-    if let Some(placement) = &cluster.placement {
-        if !node_losses.is_empty() {
-            let overhead_ticks = crate::trace::ticks_of(cluster.task_overhead);
-            let map_ticks: Vec<u64> = map_models
+        tally.metrics.map_output_records += res.records;
+        tally.metrics.spill_files += spills.len() as u64;
+        tally.metrics.spilled_bytes += spilled_bytes;
+        models.push(TaskModel {
+            records_in: job.split_lens[i] as u64,
+            keys_in: 0,
+            records_out: res.records,
+            bytes: res.bucket_bytes.iter().sum(),
+            failures: exec
+                .failures
                 .iter()
-                .map(|t| t.total_ticks(&config.retry, overhead_ticks))
-                .collect();
-            let (map_places, map_model_end) =
-                skymr_telemetry::place::place(&map_ticks, cluster.map_slots, overhead_ticks);
-            let heartbeat = crate::trace::ticks_of(cluster.heartbeat_timeout);
-            let mut affected: BTreeSet<usize> = BTreeSet::new();
-            for loss in &node_losses {
-                dead_nodes.insert(loss.node);
-                // Losses past the end of the map phase land at the shuffle
-                // barrier — the moment the missing outputs are discovered.
-                let at = loss.at_tick.min(map_model_end);
-                node_loss_events.push(NodeLossEvent {
-                    node: loss.node,
-                    at_tick: at,
-                    detect_tick: at.saturating_add(heartbeat),
-                });
-                // Detection is charged once per loss, unconditionally: the
-                // tracker waits out the heartbeat timeout before declaring
-                // the node dead and rescheduling its work.
-                reexecution_time += cluster.heartbeat_timeout;
-                for (i, p) in map_places.iter().enumerate() {
-                    if map_homes[i] != loss.node {
-                        continue;
-                    }
-                    if p.end <= at {
-                        // Completed: the materialized output is gone.
-                        maps_reexecuted += 1;
-                        affected.insert(i);
-                    } else if p.start < at {
-                        // In-flight: the attempt dies with the node.
-                        map_stats.retries += 1;
-                        map_stats.wasted += Duration::from_micros(at - p.start);
-                        affected.insert(i);
-                    }
-                    // Pending tasks simply launch on a surviving node.
-                }
-            }
-            let survivors: Vec<usize> = all_nodes
-                .iter()
-                .copied()
-                .filter(|n| !dead_nodes.contains(n))
-                .collect();
-            reexec_tasks = affected.into_iter().collect();
-            // Replacement outputs materialize on surviving nodes.
-            for &i in &reexec_tasks {
-                map_homes[i] = placement.task_home(&config.name, TaskKind::Map, i, &survivors);
-            }
-            let next_attempts: Vec<u32> = reexec_tasks
-                .iter()
-                .map(|&i| map_execs[i].0.attempts)
-                .collect();
-            let reruns = run_indexed(reexec_tasks.len(), cluster.host_threads, |c| {
-                let i = reexec_tasks[c];
-                let progress = AtomicUsize::new(usize::MAX);
-                run_map_attempt(i, next_attempts[c], Inject::None, &map_skips[i], &progress)
-            });
-            let mut reexec_wave: Vec<Duration> = Vec::with_capacity(reexec_tasks.len());
-            for (c, (result, duration)) in reruns.into_iter().enumerate() {
-                reexec_wave.push(duration);
-                map_outputs[reexec_tasks[c]] = result;
-            }
-            map_stats.attempts += reexec_tasks.len() as u64;
-            let mut excluded = dead_nodes.clone();
-            excluded.extend(blacklisted.iter().copied());
-            let slots = surviving_slots(cluster.map_slots, cluster.nodes, &excluded);
-            reexecution_time += makespan(&reexec_wave, slots, cluster.task_overhead);
-        }
-    }
-    let nodes_lost = node_losses.len() as u64;
-
-    let map_phase = makespan(
-        &map_stats.effective,
-        cluster.map_slots,
-        cluster.task_overhead,
-    ) + makespan(&recovery_wave, cluster.map_slots, cluster.task_overhead)
-        + reexecution_time;
-
-    // Dead and blacklisted nodes take their slots with them for the rest
-    // of the job: the reduce phase runs on what survives.
-    let mut excluded_nodes = dead_nodes.clone();
-    excluded_nodes.extend(blacklisted.iter().copied());
-    let reduce_slots_alive = surviving_slots(cluster.reduce_slots, cluster.nodes, &excluded_nodes);
-
-    // ---- Shuffle ---------------------------------------------------------
-    // With a placement, reducers get homes too (over surviving nodes), and
-    // only buckets whose producing map task is homed elsewhere cross the
-    // network; without one, the closed-form remote fraction applies.
-    let survivors: Vec<usize> = all_nodes
-        .iter()
-        .copied()
-        .filter(|n| !dead_nodes.contains(n))
-        .collect();
-    let reducer_homes: Option<Vec<usize>> = cluster.placement.as_ref().map(|p| {
-        (0..r)
-            .map(|j| p.task_home(&config.name, TaskKind::Reduce, j, &survivors))
-            .collect()
-    });
-    let mut remote_per_node = vec![0u64; cluster.nodes.max(1)];
-    let mut per_reducer_bytes = vec![0u64; r];
-    let mut groups: Vec<BTreeMap<K, Vec<V>>> = (0..r).map(|_| BTreeMap::new()).collect();
-    // Spill mode: each reducer's input is a priority-ordered list of runs
-    // (map index, then spill sequence) merged lazily in the reduce phase;
-    // nothing is materialized here.
-    let mut reducer_runs: Vec<Vec<(Segment, usize)>> = (0..r).map(|_| Vec::new()).collect();
-
-    // ---- Data-plane integrity --------------------------------------------
-    // Partition fetches whose frames arrive corrupted, keyed by
-    // (map, reducer). One bad fetch is transient: the reducer re-fetches
-    // and the second copy verifies. Two bad fetches mean the materialized
-    // map output itself is rotten: the producer re-executes (pure UDFs
-    // regenerate byte-identical output) before the merge below consumes
-    // it, and the wave is charged to the shuffle clock where the
-    // corruption was discovered.
-    let corrupt_plan: BTreeMap<(usize, usize), CorruptFetch> = plan
-        .corrupt_fetches_for(&config.name, m, r)
-        .into_iter()
-        .map(|c| ((c.map, c.reducer), c))
-        .collect();
-    let corrupt_reexec: Vec<usize> = corrupt_plan
-        .values()
-        .filter(|c| c.fetches >= 2)
-        .map(|c| c.map)
-        .collect::<BTreeSet<usize>>()
-        .into_iter()
-        .collect();
-    let mut corrupt_reexec_time = Duration::ZERO;
-    if !corrupt_reexec.is_empty() {
-        let next_attempts: Vec<u32> = corrupt_reexec
-            .iter()
-            .map(|&i| map_execs[i].0.attempts)
-            .collect();
-        let reruns = run_indexed(corrupt_reexec.len(), cluster.host_threads, |c| {
-            let i = corrupt_reexec[c];
-            let progress = AtomicUsize::new(usize::MAX);
-            run_map_attempt(i, next_attempts[c], Inject::None, &map_skips[i], &progress)
+                .map(|f| FailKind::from_cause(&f.cause))
+                .collect(),
+            slowdown: fault.slowdown,
+            spills,
+            merge: None,
         });
-        let mut wave: Vec<Duration> = Vec::with_capacity(corrupt_reexec.len());
-        for (c, (result, duration)) in reruns.into_iter().enumerate() {
-            wave.push(duration);
-            map_outputs[corrupt_reexec[c]] = result;
-        }
-        map_stats.retries += corrupt_reexec.len() as u64;
-        map_stats.attempts += corrupt_reexec.len() as u64;
-        corrupt_reexec_time = makespan(&wave, cluster.map_slots, cluster.task_overhead);
     }
+    models
+}
 
-    // Debug builds tally the mapper-emitted pairs per key so the shuffle
-    // can be checked as an exact partition of the map output below.
-    let mut emitted: BTreeMap<K, u64> = BTreeMap::new();
-    let mut corrupt_events: Vec<CorruptEvent> = Vec::new();
-    let mut refetch_bytes = 0u64;
-    for (i, result) in map_outputs.into_iter().enumerate() {
-        for j in 0..r {
-            per_reducer_bytes[j] += result.bucket_bytes[j];
-            if let Some(homes) = &reducer_homes {
-                if map_homes[i] != homes[j] {
-                    remote_per_node[homes[j]] += result.bucket_bytes[j];
-                }
-            }
-        }
-        match result.buckets {
-            MapBuckets::Memory(buckets) => {
-                for (j, bucket) in buckets.into_iter().enumerate() {
-                    // Every partition crosses the shuffle boundary as one
-                    // checksummed frame; the reduce side verifies before it
-                    // consumes a single record, so the codec is load-bearing.
-                    let frame = encode_pairs(&bucket);
-                    drop(bucket);
-                    if let Some(c) = corrupt_plan.get(&(i, j)) {
-                        // Deliver the corrupted copy first: flip one seeded bit
-                        // and require verification to reject it, then charge the
-                        // re-fetch traffic. At-rest corruption (two bad fetches)
-                        // already escalated to re-executing the producer above,
-                        // so the frame in hand is clean either way.
-                        let failed = c.fetches.min(2);
-                        let bit = c.bit_seed % (frame.len() as u64 * 8);
-                        let byte = (bit / 8) as usize;
-                        let mut bad = frame.clone();
-                        bad[byte] ^= 1 << (bit % 8);
-                        assert!(
-                            decode_pairs::<K, V>(&bad).is_err(),
-                            "a single-bit flip must never pass frame verification"
-                        );
-                        refetch_bytes += frame.len() as u64 * u64::from(failed);
-                        corrupt_events.push(CorruptEvent {
-                            map: i,
-                            reducer: j,
-                            fetches: failed,
-                            reexecuted: c.fetches >= 2,
-                        });
-                    }
-                    let Ok(pairs) = decode_pairs::<K, V>(&frame) else {
-                        unreachable!("a freshly encoded frame always verifies");
-                    };
-                    for (k, v) in pairs {
-                        if cfg!(debug_assertions) {
-                            *emitted.entry(k.clone()).or_insert(0) += 1;
-                        }
-                        groups[j].entry(k).or_default().push(v);
-                    }
-                }
-            }
-            MapBuckets::Spilled(segments) => {
-                // The shuffle-phase integrity scan: every partition's
-                // frames are checksum-verified at rest before the merge
-                // consumes a single record. Corruption injection flips a
-                // real bit in the segment file, and verification must
-                // reject it; the re-fetch is modeled by flipping the bit
-                // back (XOR restores the byte) and re-verifying clean.
-                // Two bad fetches already escalated to re-executing the
-                // producer above, so the files in hand regenerate clean.
-                debug_assert_eq!(
-                    segments
-                        .iter()
-                        .flat_map(|s| s.parts.iter())
-                        .map(|p| p.records)
-                        .sum::<u64>(),
-                    result.records,
-                    "spill manifests must account for every map output record"
-                );
-                for j in 0..r {
-                    if let Some(c) = corrupt_plan.get(&(i, j)) {
-                        let failed = c.fetches.min(2);
-                        let target = segments
-                            .iter()
-                            .find(|s| s.parts.get(j).is_some_and(|p| p.len > 0));
-                        if let Some(seg) = target {
-                            let meta = &seg.parts[j];
-                            flip_bit(&seg.path, meta.offset, meta.len, c.bit_seed)
-                                .expect("storage plane: corruption injection failed"); // xtask: allow(no-unwrap) — scripted-fault machinery; a failing injection must abort the experiment loudly
-                            let err = verify_frames(seg, j)
-                                .expect_err("a flipped bit must never pass frame verification"); // xtask: allow(no-unwrap) — asserts the CRC invariant the chaos test exists to prove
-                            let restored = flip_bit(&seg.path, meta.offset, meta.len, c.bit_seed);
-                            restored.expect("storage plane: corruption restore failed"); // xtask: allow(no-unwrap) — scripted-fault machinery; a failing restore must abort the experiment loudly
-                            assert!(err.is_corruption(), "flip must read as corruption: {err}");
-                        }
-                        let part_bytes: u64 = segments
-                            .iter()
-                            .filter_map(|s| s.parts.get(j))
-                            .map(|p| p.len)
-                            .sum();
-                        refetch_bytes += part_bytes * u64::from(failed);
-                        corrupt_events.push(CorruptEvent {
-                            map: i,
-                            reducer: j,
-                            fetches: failed,
-                            reexecuted: c.fetches >= 2,
-                        });
-                    }
-                    for seg in &segments {
-                        if let Err(e) = verify_frames(seg, j) {
-                            panic!("storage plane: spill segment failed the shuffle integrity scan after recovery: {e}");
-                        }
-                    }
-                }
-                for seg in segments {
-                    for (j, runs) in reducer_runs.iter_mut().enumerate() {
-                        if seg.parts.get(j).is_some_and(|p| p.records > 0) {
-                            runs.push((seg.clone(), j));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if cfg!(debug_assertions) {
-        crate::analysis::assert_shuffle_invariants(&emitted, &groups);
-    }
-    drop(emitted);
-    let shuffle_bytes: u64 = per_reducer_bytes.iter().sum();
-    // Per-reducer group facts for the trace model: (distinct keys, values),
-    // plus (spill mode) the closed-form merge-cascade cost the model
-    // charges — a pure function of the manifests, identical for every
-    // attempt of the reducer.
-    let (reduce_io, merge_models): (Vec<(u64, u64)>, Vec<Option<MergeStats>>) =
-        if spill_session.is_some() {
-            let counted = run_indexed(r, cluster.host_threads, |j| {
-                let sources: Vec<RunSource<K, V>> = reducer_runs[j]
-                    .iter()
-                    .map(|(segment, part)| RunSource::Disk {
-                        segment: segment.clone(),
-                        part: *part,
-                    })
-                    .collect();
-                let run_bytes: Vec<u64> = reducer_runs[j]
-                    .iter()
-                    .map(|(segment, part)| segment.parts[*part].len)
-                    .collect();
-                let stats = cascade_stats(&run_bytes, cluster.storage.merge_fan_in);
-                // Counting pass: distinct keys and total values, so the
-                // trace model and mid-task crash injection see the same
-                // figures the in-memory engine reads off its group maps.
-                let mut merge =
-                    KWayMerge::open(sources).expect("storage plane: cannot open runs for counting"); // xtask: allow(no-unwrap) — every segment passed the shuffle integrity scan just above
-                let mut keys = 0u64;
-                let mut values = 0u64;
-                let mut last: Option<K> = None;
-                loop {
-                    let next = merge.next_pair().expect("counting merge failed"); // xtask: allow(no-unwrap) — every segment passed the integrity scan above
-                    let Some((k, _v)) = next else { break };
-                    values += 1;
-                    if last.as_ref() != Some(&k) {
-                        keys += 1;
-                        last = Some(k);
-                    }
-                }
-                ((keys, values), stats)
-            });
-            counted
-                .into_iter()
-                .map(|(((keys, values), stats), _)| ((keys, values), Some(stats)))
-                .unzip()
-        } else {
-            let io: Vec<(u64, u64)> = groups
-                .iter()
-                .map(|g| {
-                    let values: usize = g.values().map(Vec::len).sum();
-                    (g.len() as u64, values as u64)
-                })
-                .collect();
-            let none = vec![None; r];
-            (io, none)
+/// Node failure domains as the map phase leaves them.
+#[derive(Default)]
+struct Nodes {
+    all: Vec<usize>,
+    /// Home node of each map task's materialized output (placed clusters
+    /// only).
+    map_homes: Vec<usize>,
+    strikes: BTreeMap<usize, u32>,
+    blacklisted: BTreeSet<usize>,
+    dead: BTreeSet<usize>,
+    loss_events: Vec<NodeLossEvent>,
+    /// Map tasks re-executed because their node died.
+    reexecuted: Vec<usize>,
+}
+
+impl Nodes {
+    /// Blacklist pass over one phase: each failed attempt is a strike
+    /// against the node it ran on, and nodes over the strike budget leave
+    /// scheduling. Needs a placement and a blacklist policy.
+    fn strike<T>(&mut self, job: &Job<'_>, kind: TaskKind, execs: &[TaskRun<T>]) {
+        let (Some(placement), Some(policy)) = (&job.cluster.placement, &job.config.blacklist)
+        else {
+            return;
         };
-    let reduce_input_keys: u64 = reduce_io.iter().map(|&(keys, _)| keys).sum();
+        for (i, (exec, _)) in execs.iter().enumerate() {
+            for f in &exec.failures {
+                let node = placement.attempt_home(&job.config.name, kind, i, f.attempt, &self.all);
+                *self.strikes.entry(node).or_insert(0) += 1;
+            }
+        }
+        self.blacklisted = over_budget(&self.strikes, policy);
+    }
 
-    // ---- Reduce phase ----------------------------------------------------
-    let group_slots: Vec<GroupSlot<K, V>> = groups
-        .into_iter()
-        .map(|g| parking_lot::Mutex::new(Some(g)))
+    /// Dead and blacklisted nodes.
+    fn excluded(&self) -> BTreeSet<usize> {
+        self.dead.union(&self.blacklisted).copied().collect()
+    }
+
+    /// Nodes that have not died (blacklisted ones included).
+    fn survivors(&self) -> Vec<usize> {
+        self.all
+            .iter()
+            .copied()
+            .filter(|n| !self.dead.contains(n))
+            .collect()
+    }
+}
+
+/// Every reducer's input as the shuffle leaves it.
+enum ReduceInput<'a, K, V> {
+    /// Key-sorted group maps, handed to attempts by clone or by move.
+    Memory(Vec<GroupSlot<K, V>>),
+    /// Each reducer's on-disk runs, in priority order, which every attempt
+    /// merges afresh through the job's spill session.
+    Spilled(&'a SpillSession, Vec<Vec<(Segment, usize)>>),
+}
+
+/// What the shuffle hands the reduce phase.
+struct Shuffled<'a, K, V> {
+    input: ReduceInput<'a, K, V>,
+    /// Per reducer: (distinct keys, values). An injected mid-task crash
+    /// fires at key group `keys / 2`, in memory and spilled alike.
+    io: Vec<(u64, u64)>,
+    /// Per reducer (spill mode): the merge cascade's modeled cost.
+    merge: Vec<Option<MergeStats>>,
+    corrupt: Vec<CorruptEvent>,
+}
+
+/// One reducer's spill runs as external-merge sources.
+fn disk_runs<K, V>(runs: &[(Segment, usize)]) -> Vec<RunSource<K, V>> {
+    runs.iter()
+        .map(|(segment, part)| RunSource::Disk {
+            segment: segment.clone(),
+            part: *part,
+        })
+        .collect()
+}
+
+/// Spill mode's counting pass over one reducer's runs: its distinct keys
+/// and total values — the figures the in-memory engine reads off its group
+/// maps, for the trace model and mid-task crash injection — plus the
+/// closed-form cost of its merge cascade.
+fn spilled_group_counts<K: JobKey, V: JobValue>(
+    runs: &[(Segment, usize)],
+    fan_in: usize,
+) -> ((u64, u64), MergeStats) {
+    let sources = disk_runs::<K, V>(runs);
+    let run_bytes: Vec<u64> = runs
+        .iter()
+        .map(|(segment, part)| segment.parts[*part].len)
         .collect();
+    let stats = cascade_stats(&run_bytes, fan_in);
+    let mut merge = KWayMerge::open(sources).expect("storage plane: cannot open runs for counting"); // xtask: allow(no-unwrap) — every segment passed the shuffle integrity scan
+    let mut keys = 0u64;
+    let mut values = 0u64;
+    let mut last: Option<K> = None;
+    loop {
+        let next = merge.next_pair().expect("counting merge failed"); // xtask: allow(no-unwrap) — every segment passed the shuffle integrity scan
+        let Some((k, _v)) = next else { break };
+        values += 1;
+        if last.as_ref() != Some(&k) {
+            keys += 1;
+            last = Some(k);
+        }
+    }
+    ((keys, values), stats)
+}
 
-    let run_reduce_attempt =
-        |j: usize, attempt: u32, input: BTreeMap<K, Vec<V>>, inject: Inject| -> Vec<Out> {
-            let ctx = TaskContext {
-                task_index: j,
-                num_tasks: r,
-                num_reducers: r,
-                attempt,
-                counters: counters.clone(),
-            };
-            let mut task = reduce_factory.create(&ctx);
-            let mut out = OutputCollector::new();
-            let crash_at = match inject {
-                Inject::MidTaskPanic => Some(input.len() / 2),
-                Inject::None => None,
-            };
-            if crash_at.is_some() && input.is_empty() {
-                crate::pool::raise_injected_panic(format!(
-                    "[fault-injection] reduce task {j} attempt {attempt} crashed mid-task"
-                ));
-            }
-            for (n, (k, vs)) in input.into_iter().enumerate() {
-                if crash_at == Some(n) {
-                    crate::pool::raise_injected_panic(format!(
-                        "[fault-injection] reduce task {j} attempt {attempt} crashed mid-task"
-                    ));
-                }
-                task.reduce(k, vs, &mut out);
-            }
-            task.finish(&mut out);
-            out.into_records()
-        };
+/// The reduce side of one job. Every reduce attempt — first runs, retries
+/// and speculative backups — goes through [`Reducer::reduce_attempt`].
+struct Reducer<'a, RF, K, V> {
+    job: &'a Job<'a>,
+    factory: &'a RF,
+    shuffled: Shuffled<'a, K, V>,
+}
 
-    // Spill-mode reduce attempt: the input is never materialized — the
-    // external merge streams `(key, values)` groups straight off the spill
-    // segments in exactly the order the in-memory engine's group map
-    // produces. Mid-task crash injection counts key groups, so crash
-    // points match the in-memory engine group for group.
-    let run_reduce_attempt_spilled = |j: usize, attempt: u32, inject: Inject| -> Vec<Out> {
-        let session = spill_session
-            .as_ref()
-            .expect("spill-mode reduce without a session"); // xtask: allow(no-unwrap) — this closure is only entered when the session exists
-        let ctx = TaskContext {
-            task_index: j,
-            num_tasks: r,
-            num_reducers: r,
-            attempt,
-            counters: counters.clone(),
-        };
-        let mut task = reduce_factory.create(&ctx);
+impl<K, V, Out, RF> Reducer<'_, RF, K, V>
+where
+    K: JobKey,
+    V: JobValue + Clone,
+    Out: Send,
+    RF: ReduceFactory,
+    RF::Task: ReduceTask<K = K, V = V, Out = Out>,
+{
+    /// Runs every reduce task, then speculation; returns the execution
+    /// records and the committed outputs. `Err` carries the first task that
+    /// exhausted its budget.
+    fn reduce_phase(&self, tally: &mut Tally) -> Result<Committed<Vec<Out>>, Failed<Vec<Out>>> {
+        let (cluster, config) = (self.job.cluster, self.job.config);
+        // Reduce inputs are single-consumer: attempts expected to fail get a
+        // clone, the expected winner consumes the original. With speculation
+        // on, the input is retained (cloned per attempt) so backup attempts
+        // can replay it. Spill mode streams from disk instead, but keeps the
+        // same replay budget so the fault ladder behaves identically in both
+        // modes.
+        let keep_input = config.speculation.is_some();
+        let mut execs: Vec<TaskRun<Vec<Out>>> =
+            run_indexed(self.job.r, cluster.host_threads, |j| {
+                let fault = config.faults.task_fault(&config.name, TaskKind::Reduce, j);
+                let scheduled = fault.failures.min(config.retry.attempt_budget());
+                // An attempt whose input was consumed cannot be replayed: an
+                // *unscheduled* failure of the consuming attempt (a genuine UDF
+                // panic) therefore aborts immediately — unlike map tasks, whose
+                // splits replay forever.
+                let replay_limit = if keep_input {
+                    None
+                } else {
+                    Some(scheduled + 1)
+                };
+                let exec = run_attempts(
+                    &fault,
+                    &config.retry,
+                    replay_limit,
+                    cluster.progress_timeout,
+                    |attempt, inject| {
+                        self.reduce_attempt(j, attempt, inject, !keep_input && attempt >= scheduled)
+                    },
+                );
+                (exec, fault)
+            })
+            .into_iter()
+            .map(|(run, _)| run)
+            .collect();
+        tally.reduce = phase_stats(&execs, cluster.task_overhead);
+        // Spill mode: the external-merge cascade's disk traffic (reads of
+        // every run, intermediate-run writes, one seek per file open) is
+        // charged to each reducer's modeled duration before the makespan —
+        // the model pays for the merge once, with the closed-form cost every
+        // attempt of the reducer incurs identically.
+        for (j, model) in self.shuffled.merge.iter().enumerate() {
+            if let Some(s) = model {
+                tally.reduce.effective[j] += cluster
+                    .storage
+                    .io_time(s.bytes_read + s.bytes_written, s.seeks);
+            }
+        }
+        let outputs = commit_phase(&mut execs, &mut tally.reduce, self.job, |j, attempt| {
+            self.reduce_attempt(j, attempt, Inject::None, false)
+        })?;
+        Ok((execs, outputs))
+    }
+
+    /// One attempt of reduce task `j`. In memory, `take` moves the group
+    /// map into the attempt instead of cloning it; spill mode streams the
+    /// groups off disk through an external merge on every attempt.
+    fn reduce_attempt(&self, j: usize, attempt: u32, inject: Inject, take: bool) -> Vec<Out> {
+        match &self.shuffled.input {
+            ReduceInput::Memory(slots) => {
+                let input = {
+                    let mut slot = slots[j].lock();
+                    if take {
+                        slot.take().unwrap_or_default()
+                    } else {
+                        (*slot).clone().unwrap_or_default()
+                    }
+                };
+                self.reduce_groups(j, attempt, inject, || input.into_iter())
+            }
+            ReduceInput::Spilled(session, runs) => {
+                self.reduce_groups(j, attempt, inject, || {
+                    let storage = &self.job.cluster.storage;
+                    let (mut merge, _stats) = external_merge(
+                        session,
+                        j,
+                        disk_runs(&runs[j]),
+                        storage.merge_fan_in,
+                        storage.io_chunk,
+                    )
+                    .expect("storage plane: external merge failed"); // xtask: allow(no-unwrap) — the panic unwinds this attempt into the retry ladder, the storage plane's recovery path
+                    std::iter::from_fn(move || {
+                        merge
+                            .next_group()
+                            .expect("storage plane: merge read failed") // xtask: allow(no-unwrap) — the panic unwinds this attempt into the retry ladder
+                    })
+                })
+            }
+        }
+    }
+
+    /// The reduce attempt body over a key-sorted stream of `(key, values)`
+    /// groups, opened only once the task exists and the empty-input crash
+    /// check has passed.
+    fn reduce_groups<I>(
+        &self,
+        j: usize,
+        attempt: u32,
+        inject: Inject,
+        open: impl FnOnce() -> I,
+    ) -> Vec<Out>
+    where
+        I: Iterator<Item = (K, Vec<V>)>,
+    {
+        let job = self.job;
+        let mut task = self.factory.create(&job.context(j, job.r, attempt));
         let mut out = OutputCollector::new();
+        let keys = self.shuffled.io[j].0;
         let crash_at = match inject {
-            Inject::MidTaskPanic => Some((reduce_io[j].0 / 2) as usize),
+            Inject::MidTaskPanic => Some((keys / 2) as usize),
             Inject::None => None,
         };
-        if crash_at.is_some() && reduce_io[j].0 == 0 {
+        if crash_at.is_some() && keys == 0 {
             crate::pool::raise_injected_panic(format!(
                 "[fault-injection] reduce task {j} attempt {attempt} crashed mid-task"
             ));
         }
-        let sources: Vec<RunSource<K, V>> = reducer_runs[j]
-            .iter()
-            .map(|(segment, part)| RunSource::Disk {
-                segment: segment.clone(),
-                part: *part,
-            })
-            .collect();
-        let (mut merge, _stats) = external_merge(
-            session,
-            j,
-            sources,
-            cluster.storage.merge_fan_in,
-            cluster.storage.io_chunk,
-        )
-        .expect("storage plane: external merge failed"); // xtask: allow(no-unwrap) — the panic unwinds this attempt into the retry ladder, the storage plane's recovery path
-        let mut n = 0usize;
-        loop {
-            let group = merge
-                .next_group()
-                .expect("storage plane: merge read failed"); // xtask: allow(no-unwrap) — the panic unwinds this attempt into the retry ladder
-            let Some((k, vs)) = group else { break };
+        for (n, (k, vs)) in open().enumerate() {
             if crash_at == Some(n) {
                 crate::pool::raise_injected_panic(format!(
                     "[fault-injection] reduce task {j} attempt {attempt} crashed mid-task"
                 ));
             }
-            n += 1;
             task.reduce(k, vs, &mut out);
         }
         task.finish(&mut out);
         out.into_records()
-    };
-
-    // Reduce inputs are single-consumer: attempts expected to fail get a
-    // clone, the expected winner consumes the original. With speculation
-    // on, the input is retained (cloned per attempt) so backup attempts
-    // can replay it. Spill mode streams from disk instead, but keeps the
-    // same replay budget so the fault ladder behaves identically in both
-    // modes.
-    let keep_input = config.speculation.is_some();
-    let mut reduce_execs: Vec<(TaskExecution<Vec<Out>>, TaskFault)> =
-        run_indexed(r, cluster.host_threads, |j| {
-            let fault = plan.task_fault(&config.name, TaskKind::Reduce, j);
-            let scheduled = fault.failures.min(config.retry.attempt_budget());
-            // An attempt whose input was consumed cannot be replayed: an
-            // *unscheduled* failure of the consuming attempt (a genuine UDF
-            // panic) therefore aborts immediately — unlike map tasks, whose
-            // splits replay forever.
-            let replay_limit = if keep_input {
-                None
-            } else {
-                Some(scheduled + 1)
-            };
-            let exec = run_attempts(
-                &fault,
-                &config.retry,
-                replay_limit,
-                cluster.progress_timeout,
-                |attempt, inject| {
-                    if spill_session.is_some() {
-                        return run_reduce_attempt_spilled(j, attempt, inject);
-                    }
-                    let input = {
-                        let mut slot = group_slots[j].lock();
-                        if keep_input || attempt < scheduled {
-                            (*slot).clone().unwrap_or_default()
-                        } else {
-                            slot.take().unwrap_or_default()
-                        }
-                    };
-                    run_reduce_attempt(j, attempt, input, inject)
-                },
-            );
-            (exec, fault)
-        })
-        .into_iter()
-        .map(|(v, _)| v)
-        .collect();
-
-    let mut reduce_stats = phase_stats(&reduce_execs, cluster.task_overhead);
-    // Spill mode: the external-merge cascade's disk traffic (reads of
-    // every run, intermediate-run writes, one seek per file open) is
-    // charged to each reducer's modeled duration before the makespan —
-    // the model pays for the merge once, with the closed-form cost every
-    // attempt of the reducer incurs identically.
-    for (j, model) in merge_models.iter().enumerate() {
-        if let Some(s) = model {
-            reduce_stats.effective[j] += cluster
-                .storage
-                .io_time(s.bytes_read + s.bytes_written, s.seeks);
-        }
     }
-    // Transient node partitions stall the shuffle barrier for their
-    // duration (model ticks); folding the stall into `shuffle_time` shifts
-    // everything downstream — trace, sim clock — consistently. Corrupted
-    // fetches charge the same way: each failed fetch re-transfers its
-    // whole frame (always remote — the local copy is the bad one), and an
-    // escalated producer re-execution wave runs before the barrier lifts.
-    let partition_stall =
-        Duration::from_micros(node_partitions.iter().map(|p| p.for_ticks).sum::<u64>());
-    let refetch_stall =
-        Duration::from_secs_f64(refetch_bytes as f64 / cluster.network_bytes_per_sec);
-    let shuffle_time = if reducer_homes.is_some() {
-        cluster.shuffle_time_placed(&remote_per_node)
-    } else {
-        cluster.shuffle_time(&per_reducer_bytes)
-    } + partition_stall
-        + refetch_stall
-        + corrupt_reexec_time;
-
-    if let Some(index) = reduce_execs.iter().position(|(e, _)| !e.succeeded()) {
-        let (exec, _) = reduce_execs.swap_remove(index);
-        let mut metrics = JobMetrics::empty(&config.name, m, r);
-        metrics.map_phase = map_phase;
-        metrics.reduce_phase = makespan(
-            &reduce_stats.effective,
-            reduce_slots_alive,
-            cluster.task_overhead,
-        );
-        metrics.nodes_lost = nodes_lost;
-        metrics.maps_reexecuted = maps_reexecuted;
-        metrics.reexecution_time = reexecution_time;
-        metrics.shuffle_bytes = shuffle_bytes;
-        metrics.per_reducer_bytes = per_reducer_bytes;
-        metrics.shuffle_time = shuffle_time;
-        metrics.cache_bytes = config.cache_bytes;
-        metrics.broadcast_time = broadcast_time;
-        metrics.startup_time = cluster.job_startup;
-        metrics.map_output_records = map_output_records;
-        metrics.reduce_input_keys = reduce_input_keys;
-        metrics.map_retries = map_stats.retries;
-        metrics.reduce_retries = reduce_stats.retries;
-        metrics.attempts = map_stats.attempts + reduce_stats.attempts;
-        metrics.wasted_task_time = map_stats.wasted + reduce_stats.wasted;
-        metrics.speculative_wins = map_stats.speculative_wins;
-        metrics.backoff_time = map_stats.backoff + reduce_stats.backoff;
-        metrics.map_task_durations = map_stats.effective;
-        metrics.reduce_task_durations = reduce_stats.effective;
-        metrics.corrupt_fetches = corrupt_events.iter().map(|c| u64::from(c.fetches)).sum();
-        metrics.records_skipped = skipped.len() as u64;
-        metrics.degraded = !skipped.is_empty();
-        metrics.spill_files = map_spills.iter().map(|s| s.len() as u64).sum();
-        metrics.spilled_bytes = map_spills.iter().flatten().sum();
-        metrics.merge_passes = merge_models.iter().flatten().map(|s| s.passes).sum();
-        metrics.sim_runtime =
-            cluster.job_startup + broadcast_time + map_phase + shuffle_time + metrics.reduce_phase;
-        metrics.host_wall = started.elapsed();
-        return Err(JobError {
-            job: config.name.clone(),
-            task: TaskKind::Reduce,
-            index,
-            attempts: exec.attempts,
-            history: exec.failures,
-            counters,
-            metrics: Box::new(metrics),
-            payload: exec.payload,
-        });
-    }
-
-    if let Some(spec) = &config.speculation {
-        speculate_phase(
-            &mut reduce_execs,
-            &mut reduce_stats,
-            spec,
-            cluster,
-            |j, attempt| {
-                if spill_session.is_some() {
-                    return run_reduce_attempt_spilled(j, attempt, Inject::None);
-                }
-                let input = (*group_slots[j].lock()).clone().unwrap_or_default();
-                run_reduce_attempt(j, attempt, input, Inject::None)
-            },
-        );
-    }
-
-    let mut outputs: Vec<Vec<Out>> = Vec::with_capacity(r);
-    for (exec, _) in &mut reduce_execs {
-        match exec.value.take() {
-            Some(records) => outputs.push(records),
-            None => unreachable!("reduce failures were handled above"),
-        }
-    }
-    // ---- Simulated clock -------------------------------------------------
-    let reduce_phase = makespan(
-        &reduce_stats.effective,
-        reduce_slots_alive,
-        cluster.task_overhead,
-    );
-    let sim_runtime =
-        cluster.job_startup + broadcast_time + map_phase + shuffle_time + reduce_phase;
-
-    // Reduce-phase blacklist pass: attribute reduce failures to their
-    // nodes, so the final blacklist state covers the whole job.
-    if let (Some(placement), Some(policy)) = (&cluster.placement, &config.blacklist) {
-        for (j, (exec, _)) in reduce_execs.iter().enumerate() {
-            for f in &exec.failures {
-                let node = placement.attempt_home(
-                    &config.name,
-                    TaskKind::Reduce,
-                    j,
-                    f.attempt,
-                    &all_nodes,
-                );
-                *strikes.entry(node).or_insert(0) += 1;
-            }
-        }
-        blacklisted = over_budget(&strikes, policy);
-    }
-    let nodes_blacklisted = blacklisted.len() as u64;
-
-    // ---- Telemetry -------------------------------------------------------
-    // Assemble the deterministic execution record, derive the metrics
-    // registry from it, and emit the span timeline if a collector is
-    // attached. The registry is built either way: the countable
-    // `JobMetrics` fields below are a facade over its counters.
-    let reduce_models: Vec<TaskModel> = reduce_execs
-        .iter()
-        .zip(reduce_io.iter().zip(&merge_models))
-        .zip(per_reducer_bytes.iter().zip(&outputs))
-        .map(
-            |(((exec, fault), (&(keys, values), merge)), (&bytes, output))| TaskModel {
-                records_in: values,
-                keys_in: keys,
-                records_out: output.len() as u64,
-                bytes,
-                failures: exec
-                    .failures
-                    .iter()
-                    .map(|f| FailKind::from_cause(&f.cause))
-                    .collect(),
-                slowdown: fault.slowdown,
-                spills: Vec::new(),
-                merge: *merge,
-            },
-        )
-        .collect();
-    let record = JobRecord {
-        name: &config.name,
-        cluster,
-        retry: &config.retry,
-        cache_bytes: config.cache_bytes,
-        broadcast_attempts,
-        broadcast_time,
-        shuffle_time,
-        per_reducer_bytes: &per_reducer_bytes,
-        map: map_models,
-        reduce: reduce_models,
-        recovery: recovery_tasks,
-        lost,
-        corrupt: corrupt_events,
-        skipped,
-        node_losses: node_loss_events,
-        reexecuted: reexec_tasks,
-        maps_reexecuted,
-        nodes_blacklisted,
-        map_attempts: map_stats.attempts,
-        map_retries: map_stats.retries,
-        reduce_attempts: reduce_stats.attempts,
-        reduce_retries: reduce_stats.retries,
-        map_spec_wins: map_stats.speculative_wins,
-        reduce_spec_wins: reduce_stats.speculative_wins,
-        user_counters: counters.snapshot().into_iter().collect(),
-    };
-    let registry = record.build_registry();
-    if let Some(collector) = &config.collector {
-        record.emit(collector, registry.clone());
-    }
-
-    let metrics = JobMetrics {
-        name: config.name.clone(),
-        map_tasks: m,
-        reduce_tasks: r,
-        map_phase,
-        reduce_phase,
-        shuffle_bytes,
-        per_reducer_bytes,
-        shuffle_time,
-        cache_bytes: config.cache_bytes,
-        broadcast_time,
-        startup_time: cluster.job_startup,
-        sim_runtime,
-        host_wall: started.elapsed(),
-        map_output_records: registry.counter("map.records_out"),
-        reduce_input_keys: registry.counter("reduce.input_keys"),
-        output_records: registry.counter("reduce.records_out"),
-        map_retries: registry.counter("map.retries"),
-        reduce_retries: registry.counter("reduce.retries"),
-        attempts: registry.counter("task.attempts"),
-        wasted_task_time: map_stats.wasted + reduce_stats.wasted,
-        speculative_wins: registry.counter("task.speculative_wins"),
-        backoff_time: map_stats.backoff + reduce_stats.backoff,
-        nodes_lost: registry.counter("node.lost"),
-        maps_reexecuted: registry.counter("map.reexecuted"),
-        reexecution_time,
-        nodes_blacklisted: registry.counter("node.blacklisted"),
-        corrupt_fetches: registry.counter("shuffle.corrupt_fetches"),
-        records_skipped: registry.counter("map.records_skipped"),
-        spill_files: registry.counter("storage.spill_files"),
-        spilled_bytes: registry.counter("storage.spilled_bytes"),
-        merge_passes: registry.counter("storage.merge_passes"),
-        degraded: registry.counter("map.records_skipped") > 0,
-        map_task_durations: map_stats.effective,
-        reduce_task_durations: reduce_stats.effective,
-        // Scheduling charges belong to the executor a job ran under, not
-        // to the job itself; `sched::ClusterExecutor` fills them in.
-        queue_wait_time: Duration::ZERO,
-        preemptions: 0,
-    };
-
-    Ok(JobOutcome {
-        outputs,
-        metrics,
-        counters,
-        registry,
-    })
 }
 
 #[cfg(test)]
@@ -1649,8 +1657,12 @@ mod tests {
         }
     }
 
+    /// Sums the counts of each word, and counts the keys it reduces under
+    /// `keys_reduced` — crashed attempts included.
     struct WcReduce;
-    struct WcReduceTask;
+    struct WcReduceTask {
+        counters: Counters,
+    }
     impl ReduceTask for WcReduceTask {
         type K = String;
         type V = u64;
@@ -1661,13 +1673,16 @@ mod tests {
             values: Vec<u64>,
             out: &mut OutputCollector<(String, u64)>,
         ) {
+            self.counters.add("keys_reduced", 1);
             out.collect((key, values.iter().sum()));
         }
     }
     impl ReduceFactory for WcReduce {
         type Task = WcReduceTask;
-        fn create(&self, _ctx: &TaskContext) -> WcReduceTask {
-            WcReduceTask
+        fn create(&self, ctx: &TaskContext) -> WcReduceTask {
+            WcReduceTask {
+                counters: ctx.counters.clone(),
+            }
         }
     }
 
@@ -1997,6 +2012,15 @@ mod tests {
         // Partial metrics still account for the doomed task's attempts.
         assert!(err.metrics.attempts >= 3);
         assert!(err.metrics.sim_runtime > Duration::ZERO);
+        // Only startup, broadcast and the map phase were charged.
+        let m = &err.metrics;
+        assert_eq!(
+            m.sim_runtime,
+            m.startup_time + m.broadcast_time + m.map_phase
+        );
+        assert_eq!(m.reduce_phase, Duration::ZERO);
+        assert_eq!(m.shuffle_time, Duration::ZERO);
+        assert_eq!(m.shuffle_bytes, 0);
     }
 
     #[test]
@@ -2014,6 +2038,14 @@ mod tests {
         assert_eq!(err.metrics.map_tasks, 3);
         assert!(err.metrics.map_phase > Duration::ZERO);
         assert!(err.metrics.shuffle_bytes > 0);
+        // Every phase up to the failed reduce is charged, and the attempts
+        // count the three clean map attempts plus the doomed reducer's.
+        let m = &err.metrics;
+        assert_eq!(
+            m.sim_runtime,
+            m.startup_time + m.broadcast_time + m.map_phase + m.shuffle_time + m.reduce_phase
+        );
+        assert_eq!(m.attempts, 3 + u64::from(err.attempts));
     }
 
     /// A genuinely broken UDF (panics on every attempt, nothing injected)
@@ -2104,40 +2136,6 @@ mod tests {
         let out = word_count(&empty, 2, FaultPlan::none());
         assert_eq!(out.metrics.map_output_records, 0);
         assert!(out.into_flat_output().is_empty());
-    }
-
-    #[test]
-    fn combiner_cuts_shuffle_without_changing_results() {
-        use crate::combiner::FoldCombiner;
-        let cluster = ClusterConfig::test();
-        let config = JobConfig::new("wc", 2);
-        let plain = run_job(
-            &cluster,
-            &config,
-            &splits(),
-            &WcMap,
-            &WcReduce,
-            &HashPartitioner,
-        )
-        .expect("plain run");
-        let combined = run_job_with_combiner(
-            &cluster,
-            &config,
-            &splits(),
-            &WcMap,
-            &WcReduce,
-            &HashPartitioner,
-            &FoldCombiner::new(|a: u64, b: u64| a + b),
-        )
-        .expect("combined run");
-        // Split 0 holds "a b a" + "c": the duplicate 'a' combines away.
-        assert!(combined.metrics.map_output_records < plain.metrics.map_output_records);
-        assert!(combined.metrics.shuffle_bytes < plain.metrics.shuffle_bytes);
-        let mut a = plain.into_flat_output();
-        let mut b = combined.into_flat_output();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "combiner changed the job result");
     }
 
     #[test]
@@ -2277,6 +2275,44 @@ mod tests {
             "the producer re-executed once the re-fetch failed too"
         );
         assert_eq!(sorted_counts(out), expected_counts());
+    }
+
+    /// Dead nodes take their map slots with them, so the at-rest
+    /// corruption wave re-executes its producers on the slots that survive.
+    #[test]
+    fn corrupt_reexecution_wave_runs_on_surviving_map_slots() {
+        let mut cluster = ClusterConfig::test_placed(5);
+        // An overhead far above the tiny tasks' host time makes a wave's
+        // makespan a count of tasks per slot.
+        cluster.task_overhead = Duration::from_secs(1);
+        let overhead = cluster.task_overhead;
+        let run = |plan: FaultPlan| {
+            word_count_on(&cluster, &JobConfig::new("wc", 2).with_faults(plan))
+                .expect("job must survive")
+        };
+        // All three producers rot at rest: three re-executions.
+        let at_rest = FaultPlan::none()
+            .with_corrupt_shuffle(0, 0, 2)
+            .with_corrupt_shuffle(1, 0, 2)
+            .with_corrupt_shuffle(2, 0, 2);
+        let healthy = run(at_rest.clone());
+        assert_eq!(healthy.metrics.corrupt_fetches, 6);
+        assert!(
+            healthy.metrics.shuffle_time < overhead * 2,
+            "four map slots run the three re-executions side by side"
+        );
+        // Two of the four nodes die, leaving two of the four map slots.
+        let lossy = run(at_rest
+            .with_node_loss(0, u64::MAX / 2)
+            .with_node_loss(1, u64::MAX / 2));
+        assert_eq!(lossy.metrics.nodes_lost, 2);
+        assert_eq!(lossy.metrics.corrupt_fetches, 6);
+        assert!(
+            lossy.metrics.shuffle_time >= overhead * 2 && lossy.metrics.shuffle_time < overhead * 3,
+            "two surviving slots run the three re-executions in two rounds: {:?}",
+            lossy.metrics.shuffle_time
+        );
+        assert_eq!(sorted_counts(lossy), expected_counts());
     }
 
     #[test]
@@ -2543,6 +2579,25 @@ mod tests {
         assert!(trace.contains("\"spill[0]\""), "spill span missing");
         assert!(trace.contains("\"merge\""), "merge span missing");
         assert_eq!(trace, render(), "spill trace bytes must be reproducible");
+    }
+
+    /// A mid-task reduce crash lands on the same key group in memory and
+    /// under spilling: the crashed attempt's share of `keys_reduced` shows
+    /// where it died.
+    #[test]
+    fn reduce_crash_point_matches_in_memory_and_spilled() {
+        let plan = FaultPlan::none().with_reduce_fault(0, TaskFault::panics(1));
+        let config = JobConfig::new("wc", 1).with_faults(plan);
+        let keys_reduced = |cluster: &ClusterConfig| {
+            let out = word_count_on(cluster, &config).expect("one crash is within budget");
+            assert_eq!(out.metrics.reduce_retries, 1);
+            out.counters.get("keys_reduced")
+        };
+        let in_memory = keys_reduced(&ClusterConfig::test());
+        // Keys a, b, c: the crashed attempt reduced key 0 and died at key
+        // 3 / 2 = 1; the retry reduced all three.
+        assert_eq!(in_memory, 1 + 3);
+        assert_eq!(keys_reduced(&spill_cluster(1)), in_memory);
     }
 
     struct WcReduceLike;

@@ -28,8 +28,11 @@
 //! exhausted ([`MapTask::finish`] — Hadoop's `cleanup`, which the paper's
 //! algorithms use to emit local skylines). Emitted pairs are routed to
 //! reducers by a [`Partitioner`], grouped and key-sorted, and handed to
-//! [`ReduceTask::reduce`] once per distinct key. Jobs can be chained; a
-//! [`pipeline::PipelineMetrics`] accumulates per-job metrics.
+//! [`ReduceTask::reduce`] once per distinct key. [`run_job`] runs one such
+//! job over any [`SplitSource`]: pre-split `Vec`s, or an [`FnSplits`]
+//! recipe that materializes each split only while a map attempt runs.
+//! Jobs can be chained; a [`pipeline::PipelineMetrics`] accumulates
+//! per-job metrics.
 //!
 //! A read-only job-wide value (the paper's Hadoop *Distributed Cache*, used
 //! to ship the global bitstring to every node) is modelled by capturing an
@@ -41,7 +44,6 @@
 
 pub mod analysis;
 pub mod cluster;
-pub mod combiner;
 pub mod fault;
 pub mod job;
 pub mod partitioner;
@@ -55,14 +57,11 @@ pub mod trace;
 
 pub use analysis::{assert_schedule_independent, schedule_shake, ShakeCase, ShakeReport};
 pub use cluster::{ClusterConfig, JobMetrics, Placement};
-pub use combiner::{Combiner, FoldCombiner, NoCombiner};
 pub use fault::{
     BlacklistPolicy, CorruptFetch, FaultKind, FaultPlan, FaultProfile, FaultTolerance, JobError,
     NodeLoss, NodePartition, RetryPolicy, SpeculationPolicy, TaskFault, TaskKind,
 };
-pub use job::{
-    run_job, run_job_from, run_job_with_combiner, run_job_with_combiner_from, JobConfig, JobOutcome,
-};
+pub use job::{run_job, JobConfig, JobOutcome};
 pub use partitioner::{HashPartitioner, ModuloPartitioner, Partitioner, SingleReducerPartitioner};
 pub use pipeline::{Checkpoint, JobSnapshot, PipelineMetrics, Runner, Snapshot};
 pub use sched::{
@@ -70,7 +69,7 @@ pub use sched::{
     JobCompletion, JobHandle, JobSpec, PriorityScheduler, Reservation, SchedOutcome, SchedReport,
     Scheduler, TenantStats,
 };
-pub use splits::{FnSplits, SliceSplits, SplitData, SplitSource};
+pub use splits::{FnSplits, SplitData, SplitSource};
 pub use storage::{parse_byte_size, StorageConfig};
 pub use task::{
     Emitter, JobKey, JobValue, MapFactory, MapTask, OutputCollector, ReduceFactory, ReduceTask,

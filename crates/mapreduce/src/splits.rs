@@ -1,26 +1,21 @@
 //! Split sources: how map tasks get their input.
 //!
-//! Historically [`run_job`](crate::run_job) took `&[Vec<In>]` — every
-//! split fully materialized in RAM for the job's whole lifetime. That is
-//! fine for one job, but a multi-tenant executor holds *queued* jobs for
-//! arbitrarily long simulated stretches, and a hundred queued jobs each
-//! pinning their whole input defeats the out-of-core storage plane.
-//!
-//! [`SplitSource`] inverts the ownership: the job carries a *recipe* for
-//! each split, and the driver materializes a split only while a map
-//! attempt is actually executing it (the attempt's copy is dropped when
-//! the attempt finishes). Because map inputs must be replayable for the
+//! [`run_job`](crate::run_job) reads its splits through [`SplitSource`]
+//! and materializes a split only while a map attempt is actually
+//! executing it (the attempt's copy is dropped when the attempt
+//! finishes). Because map inputs must be replayable for the
 //! retry/speculation/re-execution ladder, a source must return
 //! byte-identical data for the same index on every call — the same purity
 //! contract UDFs already obey.
 //!
-//! Two implementations cover the workspace:
+//! Two kinds of source cover the workspace:
 //!
-//! * [`SliceSplits`] — adapts the classic pre-materialized `&[Vec<In>]`
-//!   (borrowed, zero-copy; this is what `run_job` wraps internally).
+//! * `[Vec<In>]` and `Vec<Vec<In>>` — pre-materialized splits, lent to
+//!   each attempt without copying.
 //! * [`FnSplits`] — regenerates a split on demand from a deterministic
 //!   recipe, e.g. a seeded [`skymr_datagen::stream`] chunk. Queued jobs
-//!   hold only the recipe.
+//!   under the multi-tenant executor hold only the recipe, so they do not
+//!   pin their whole input in RAM while they wait.
 
 /// One split's data, borrowed from a materialized source or owned by an
 /// on-demand one. Derefs to `[In]` so the driver reads both the same way.
@@ -61,30 +56,32 @@ pub trait SplitSource<In>: Sync {
     fn load(&self, index: usize) -> SplitData<'_, In>;
 }
 
-/// The classic fully-materialized input: one `Vec` per split.
-#[derive(Debug)]
-pub struct SliceSplits<'a, In> {
-    splits: &'a [Vec<In>],
-}
-
-impl<'a, In> SliceSplits<'a, In> {
-    /// Wraps pre-split input.
-    pub fn new(splits: &'a [Vec<In>]) -> Self {
-        Self { splits }
-    }
-}
-
-impl<In: Sync> SplitSource<In> for SliceSplits<'_, In> {
+/// Pre-materialized input: one `Vec` per split.
+impl<In: Sync> SplitSource<In> for [Vec<In>] {
     fn num_splits(&self) -> usize {
-        self.splits.len()
+        self.len()
     }
 
     fn split_len(&self, index: usize) -> usize {
-        self.splits[index].len()
+        self[index].len()
     }
 
     fn load(&self, index: usize) -> SplitData<'_, In> {
-        SplitData::Borrowed(&self.splits[index])
+        SplitData::Borrowed(&self[index])
+    }
+}
+
+impl<In: Sync> SplitSource<In> for Vec<Vec<In>> {
+    fn num_splits(&self) -> usize {
+        self.as_slice().num_splits()
+    }
+
+    fn split_len(&self, index: usize) -> usize {
+        self.as_slice().split_len(index)
+    }
+
+    fn load(&self, index: usize) -> SplitData<'_, In> {
+        self.as_slice().load(index)
     }
 }
 
@@ -144,12 +141,14 @@ mod tests {
     #[test]
     fn slice_splits_borrow_without_copying() {
         let data = vec![vec![1u32, 2], vec![3]];
-        let source = SliceSplits::new(&data);
+        let source: &[Vec<u32>] = &data;
         assert_eq!(source.num_splits(), 2);
         assert_eq!(source.split_len(0), 2);
         assert_eq!(source.split_len(1), 1);
         assert_eq!(&*source.load(0), &[1, 2]);
         assert!(matches!(source.load(1), SplitData::Borrowed(_)));
+        assert_eq!(data.num_splits(), 2, "a Vec of splits is a source too");
+        assert!(matches!(data.load(0), SplitData::Borrowed(s) if s == [1, 2]));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   backend. The fourth, `no-unwrap`, lives in [`panics`] beside the
 //!   reachability checks that supersede its substring implementation.
 //! * [`udf`] — `udf-determinism`: purity checks inside mapper/reducer/
-//!   combiner/factory bodies and closures passed to combiner builders.
+//!   factory bodies.
 //! * [`panics`] — `no-unwrap` (crate-wide unwrap-family ban in engine
 //!   code) and `panic-reachability` (suspicious indexing/slicing and
 //!   division in functions reachable from UDF entry points via the
@@ -268,13 +268,7 @@ pub fn stale_waivers(waivers: &[Waiver], raw: &[Diagnostic]) -> Vec<Waiver> {
 /// Trait names whose impl blocks are user-defined functions under the
 /// MapReduce contract: their bodies must be pure, deterministic functions
 /// of their input.
-pub const UDF_TRAITS: &[&str] = &[
-    "MapTask",
-    "ReduceTask",
-    "Combiner",
-    "MapFactory",
-    "ReduceFactory",
-];
+pub const UDF_TRAITS: &[&str] = &["MapTask", "ReduceTask", "MapFactory", "ReduceFactory"];
 
 /// `true` for non-test sources of the two engine crates.
 pub fn in_engine_crates(path: &str) -> bool {

@@ -8,7 +8,7 @@
 //!   `.expect_err(` / `.unwrap_unchecked(` as method-call tokens, so
 //!   comments, strings, and test regions can never confuse it.
 //! * **`panic-reachability`** (new): in functions reachable from a UDF
-//!   entry point (mapper/reducer/combiner/factory impls, `run_job*`)
+//!   entry point (mapper/reducer/factory impls, `run_job`)
 //!   through the resolved workspace call graph, flag the other panic edges the
 //!   unwrap ban does not cover — indexing/slicing with a *computed*
 //!   index and division/remainder by a runtime value. A shuffle panic
@@ -86,7 +86,7 @@ pub fn check_reachability(ws: &Workspace<'_>) -> Vec<Diagnostic> {
         if g.is_test || g.body.is_none() || !in_engine_crates(&ws.file_of(id).path) {
             continue;
         }
-        if ws.is_udf_impl(id) || g.name == "run_job" || g.name == "run_job_with_combiner" {
+        if ws.is_udf_impl(id) || g.name == "run_job" {
             *seed = true;
             work.push(id);
         }

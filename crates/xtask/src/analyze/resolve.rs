@@ -202,7 +202,7 @@ impl<'a> Workspace<'a> {
     }
 
     /// `true` when the node's fn is defined in an `impl <UDF trait> for …`
-    /// block — a mapper/reducer/combiner/factory body.
+    /// block — a mapper/reducer/factory body.
     pub fn is_udf_impl(&self, id: NodeId) -> bool {
         let n = self.nodes[id];
         let f = &self.files[n.file];

@@ -1,13 +1,12 @@
 //! The `udf-determinism` pass.
 //!
 //! MR-GPSRS/MR-GPMRS correctness (and the Hadoop contract the paper
-//! assumes) requires mapper/reducer/combiner UDFs to be pure,
+//! assumes) requires mapper/reducer UDFs to be pure,
 //! deterministic functions of their input: the engine is free to re-run a
 //! task after a simulated failure, run it on another host, or reorder it,
 //! and the schedule shaker asserts byte-identical job output across all
 //! of that. This pass checks the assumption statically inside every UDF
-//! body — a fn defined in an `impl` of one of [`super::UDF_TRAITS`] — and
-//! inside closures passed to combiner builders (`*Combiner::new(…)`):
+//! body — a fn defined in an `impl` of one of [`super::UDF_TRAITS`]:
 //!
 //! * **interior mutability** (`RefCell`, `Cell`, `UnsafeCell`,
 //!   `Atomic*`, `Mutex`, `RwLock`): shared state observable across
@@ -48,28 +47,6 @@ pub fn check_file(f: &AnalyzedFile) -> Vec<Diagnostic> {
             .is_some_and(|t| UDF_TRAITS.contains(&t));
         if is_udf {
             scan(f, start, end, "UDF body", &mut out);
-        } else {
-            // Closures handed to combiner builders are UDFs too, wherever
-            // the builder call sits (typically job-driver code).
-            for call in &g.calls {
-                let is_builder = call.name == "new"
-                    && !call.is_method
-                    && call
-                        .qualifier
-                        .as_deref()
-                        .is_some_and(|q| q.ends_with("Combiner"));
-                if !is_builder || f.sig_text(call.sig_idx + 1) != "(" {
-                    continue;
-                }
-                let close = f.sig_balanced_end(call.sig_idx + 1, "(", ")");
-                scan(
-                    f,
-                    call.sig_idx + 2,
-                    close.saturating_sub(1),
-                    "combiner closure",
-                    &mut out,
-                );
-            }
         }
     }
     out
@@ -243,26 +220,5 @@ impl ReduceTask for M {{
     fn waiver_suppresses_an_audited_site() {
         let src = udf_fixture("let t = Instant::now(); // xtask: allow(udf-determinism)");
         assert!(analyze(PATH, &src).is_empty());
-    }
-
-    #[test]
-    fn combiner_closures_are_scanned_too() {
-        let src = "\
-fn build() {
-    let c = FoldCombiner::new(|a: u64, b: u64| {
-        let m = HashMap::new();
-        drop(m);
-        a + b
-    });
-    drop(c);
-}
-";
-        let diags = analyze(PATH, src);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].line, 3);
-        assert!(diags[0].message.contains("combiner closure"));
-        // A pure fold closure is clean.
-        let src = "fn build() { let c = FoldCombiner::new(|a: u64, b: u64| a + b); drop(c); }\n";
-        assert!(analyze(PATH, src).is_empty());
     }
 }

@@ -26,7 +26,7 @@ use skymr_common::{Error, Tuple};
 use skymr_datagen::{stream, Distribution};
 use skymr_mapreduce::telemetry::export::chrome_trace;
 use skymr_mapreduce::{
-    run_job_from, AdmissionConfig, ClusterConfig, ClusterExecutor, Collector, Emitter,
+    run_job, AdmissionConfig, ClusterConfig, ClusterExecutor, Collector, Emitter,
     FairShareScheduler, FifoScheduler, FnSplits, HashPartitioner, JobCompletion, JobConfig,
     JobMetrics, JobSpec, MapFactory, MapTask, OutputCollector, PriorityScheduler, ReduceFactory,
     ReduceTask, Reservation, Scheduler, TaskContext,
@@ -137,7 +137,7 @@ fn plane(recipe: JobRecipe, cluster: &ClusterConfig) -> PlaneOutput {
         .nth(s)
         .expect("split index within the declared shape")
     });
-    let outcome = run_job_from(
+    let outcome = run_job(
         cluster,
         &JobConfig::new(format!("cells-{}", recipe.index), 2),
         &source,

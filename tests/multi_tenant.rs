@@ -16,10 +16,10 @@ use skymr_common::{Error, Tuple};
 use skymr_datagen::{stream, Distribution};
 use skymr_integration_tests::scenario;
 use skymr_mapreduce::{
-    assert_schedule_independent, run_job, run_job_from, AdmissionConfig, ClusterConfig,
-    ClusterExecutor, Emitter, FairShareScheduler, FaultPlan, FaultTolerance, FnSplits,
-    HashPartitioner, JobCompletion, JobConfig, JobHandle, JobMetrics, JobSpec, MapFactory, MapTask,
-    OutputCollector, ReduceFactory, ReduceTask, TaskContext,
+    assert_schedule_independent, run_job, AdmissionConfig, ClusterConfig, ClusterExecutor, Emitter,
+    FairShareScheduler, FaultPlan, FaultTolerance, FnSplits, HashPartitioner, JobCompletion,
+    JobConfig, JobHandle, JobMetrics, JobSpec, MapFactory, MapTask, OutputCollector, ReduceFactory,
+    ReduceTask, TaskContext,
 };
 
 /// Serializes the id-sorted skyline to a canonical byte string so the
@@ -205,8 +205,9 @@ fn fair_share_keeps_tenant_slot_ticks_within_two_x() {
     );
 }
 
-/// Streaming satellite: a job fed by seeded stream chunks through
-/// [`FnSplits`] must equal the same job fed by fully materialized splits.
+/// A job fed by seeded stream chunks through [`FnSplits`] must equal the
+/// same job fed by fully materialized splits, owned or borrowed as a
+/// slice.
 #[test]
 fn streamed_splits_match_in_memory_splits() {
     struct Grid;
@@ -254,8 +255,17 @@ fn streamed_splits_match_in_memory_splits() {
         .chunks(chunk)
         .collect();
     let lens: Vec<usize> = splits.iter().map(Vec::len).collect();
-    let materialized = run_job(&cluster, &config, &splits, &Grid, &Sum, &HashPartitioner)
-        .expect("materialized run");
+    let owned = run_job(&cluster, &config, &splits, &Grid, &Sum, &HashPartitioner)
+        .expect("Vec<Vec<_>> run");
+    let sliced = run_job(
+        &cluster,
+        &config,
+        splits.as_slice(),
+        &Grid,
+        &Sum,
+        &HashPartitioner,
+    )
+    .expect("&[Vec<_>] run");
 
     let source = FnSplits::new(lens, move |s| {
         stream(Distribution::Independent, 3, card, seed)
@@ -263,14 +273,21 @@ fn streamed_splits_match_in_memory_splits() {
             .nth(s)
             .expect("split index within the declared shape")
     });
-    let streamed = run_job_from(&cluster, &config, &source, &Grid, &Sum, &HashPartitioner)
-        .expect("streamed run");
+    let streamed =
+        run_job(&cluster, &config, &source, &Grid, &Sum, &HashPartitioner).expect("streamed run");
 
-    let mut a = materialized.into_flat_output();
-    let mut b = streamed.into_flat_output();
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b, "streamed splits changed the job output");
+    // One `run_job`, three input kinds: the per-reducer outputs and the whole
+    // registry must not tell them apart.
+    for (kind, run) in [("slice", &sliced), ("FnSplits", &streamed)] {
+        assert_eq!(
+            run.outputs, owned.outputs,
+            "{kind} splits changed the job output"
+        );
+        assert_eq!(
+            run.registry, owned.registry,
+            "{kind} splits changed the registry"
+        );
+    }
 }
 
 /// A sustained 120-job load — bursty arrivals, three tenants, a bounded
